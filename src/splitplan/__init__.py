@@ -6,12 +6,14 @@ its device's cpu and memory limits while minimizing the total time spent
 moving activations across the links.  ``heuristic`` holds the greedy
 planner, ``exact`` the dynamic-programming optimum, ``scenarios`` the
 randomized benchmark harness, ``profiles`` the file formats, and ``cli``
-the command-line surface.
+the command-line surface.  ``cli`` is not imported here, so that
+``python -m splitplan.cli`` runs it as a fresh ``__main__`` module; import
+it as ``splitplan.cli``.
 """
 
 from __future__ import annotations
 
-from . import cli, cost, exact, heuristic, model, profiles, scenarios, svgplot
+from . import cost, exact, heuristic, model, profiles, scenarios, svgplot
 from .cost import (
     CostBreakdown,
     FeasibilityResult,
@@ -75,7 +77,6 @@ __all__ = [
     "ScenarioConfig",
     "SplitSolution",
     "ValidationReport",
-    "cli",
     "cost",
     "cut_traffic",
     "cut_traffic_table",

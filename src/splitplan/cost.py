@@ -45,22 +45,14 @@ class FeasibilityResult:
 
 
 def cut_traffic_table(model: FfnnModel) -> np.ndarray:
-    """Boundary traffic for every split position, computed in O(n^2) total.
+    """Boundary traffic for every split position, built once per model.
 
-    Returns an array ``table`` of length ``n + 1`` where ``table[p]`` is the
-    bit count crossing a split placed after layer ``p``.  Row ``i`` of the
-    traffic matrix only holds entries with ``j > i``, so the pairs with
-    ``i <= p`` are the first ``p`` row sums, and subtracting the first ``p``
-    column sums removes exactly the pairs that also have ``j <= p``.
+    Returns the read-only array ``table`` of length ``n + 1`` where
+    ``table[p]`` is the bit count crossing a split placed after layer ``p``.
+    The O(n^2) build over the traffic matrix runs on the model's first call
+    (see ``FfnnModel.cut_table``); later calls return the same array.
     """
-    row_totals = model.traffic.sum(axis=1)
-    col_totals = model.traffic.sum(axis=0)
-    table = np.zeros(model.num_layers + 1)
-    table[1:] = np.cumsum(row_totals) - np.cumsum(col_totals)
-    # Nothing flows past the last layer; pin the identity against float
-    # rounding between the two accumulation orders.
-    table[-1] = 0.0
-    return table
+    return model.cut_table
 
 
 def cut_traffic(model: FfnnModel, boundary: int) -> float:

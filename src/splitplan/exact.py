@@ -1,19 +1,26 @@
 """Exact minimum-transfer-time solvers.
 
-``solve_fixed_splits`` finds the cheapest feasible split into exactly
-``num_splits`` contiguous blocks by dynamic programming over (device, last
-split position) states; a block is feasible on a device when its summed cpu
-and memory costs both fit the device, the rule ``cost.is_feasible`` applies
-to whole solutions.  ``solve`` runs it for every usable partition count
-and keeps the global best.  ``brute_force_fixed_splits`` enumerates every
-candidate split vector and exists to cross-check the DP on small instances;
-it refuses instances beyond an explicit candidate budget.
+One dynamic program over (device, last split position) states yields the
+cheapest feasible split for every partition count at once: after the step
+for device ``t`` its entry for the last layer is the optimum with exactly
+``t`` partitions, because no step depends on how many partitions are asked
+for.  A block is feasible on a device when its summed cpu and memory costs
+both fit the device, the rule ``cost.is_feasible`` applies to whole
+solutions.  The earliest split ``q`` whose block ``q+1..p`` fits a device
+never moves left as ``p`` grows, so each step is a sliding-window minimum
+that a monotone deque answers in O(n); the whole pass costs O(kappa * n)
+after the model's O(n^2) cut table is built once.  ``solve`` keeps the
+global best over all counts and ``solve_fixed_splits`` returns one count's
+entry.  ``brute_force_fixed_splits`` enumerates every candidate split vector
+and exists to cross-check the DP on small instances; it refuses instances
+beyond an explicit candidate budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +63,22 @@ def _validate_num_splits(model: FfnnModel, chain: DeviceChain, num_splits: int) 
         )
 
 
-def solve_fixed_splits(
-    model: FfnnModel, chain: DeviceChain, num_splits: int
-) -> SolvedSplit | None:
-    """Optimal split into exactly ``num_splits`` non-empty blocks, or None.
+def _optimal_points(
+    model: FfnnModel, chain: DeviceChain, limit: int
+) -> list[tuple[int, ...] | None]:
+    """Optimal splitting points for each partition count ``1..limit``.
 
-    ``best[t][p]`` is the cheapest way to place layers ``1..p`` on devices
-    ``1..t`` with the t-th split at ``p``; moving from split ``q`` on device
-    ``t-1`` costs ``cut_traffic(q) / link_rate[t-1]`` and requires block
-    ``q+1..p`` to fit device ``t``: its summed cpu and memory costs both stay
-    within the device's capacities.  Cost ties pick the smaller ``q``.
+    ``best[p]`` after the step for device ``t`` is the cheapest way to place
+    layers ``1..p`` on devices ``1..t`` with the t-th split at ``p``; moving
+    from split ``q`` on device ``t-1`` costs ``cut_traffic(q) /
+    link_rate[t-1]`` and requires block ``q+1..p`` to fit device ``t``: its
+    summed cpu and memory costs both stay within the device's capacities.
+    Cost ties pick the smaller ``q``.  The window of admissible ``q`` for
+    split ``p`` is ``lo(p)..p-1``, and ``lo`` never decreases for the
+    non-negative costs ``validate_model`` admits.
     """
-    _validate_num_splits(model, chain, num_splits)
+    if limit < 1:
+        return []
     n = model.num_layers
     prefix_cpu = np.zeros(n + 1)
     prefix_cpu[1:] = np.cumsum(model.cpu_costs())
@@ -82,36 +93,64 @@ def solve_fixed_splits(
         mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
         return cpu_min_q, mem_min_q
 
+    def trace_back(best: np.ndarray, parents: list[list[int]]) -> tuple[int, ...] | None:
+        if not np.isfinite(best[n]):
+            return None
+        points = [n]
+        for parent in reversed(parents):
+            points.append(parent[points[-1]])
+        return tuple(reversed(points))
+
     cpu_min_q, mem_min_q = block_limits(0)
     best = np.full(n + 1, np.inf)
     fits_first = (cpu_min_q == 0) & (mem_min_q == 0)
     best[1:][fits_first[1:]] = 0.0
-    parents: list[np.ndarray] = []
+    parents: list[list[int]] = []
+    optima = [trace_back(best, parents)]
 
-    for t in range(2, num_splits + 1):
+    for t in range(2, limit + 1):
         cpu_min_q, mem_min_q = block_limits(t - 1)
-        arrival = best + cut_table / chain.link_rate[t - 2]
-        next_best = np.full(n + 1, np.inf)
-        parent = np.zeros(n + 1, dtype=np.int64)
+        lo = np.maximum(np.maximum(cpu_min_q, mem_min_q), t - 1).tolist()
+        arrival = (best + cut_table / chain.link_rate[t - 2]).tolist()
+        next_best = [math.inf] * (n + 1)
+        parent = [0] * (n + 1)
+        # Candidate q in increasing order with non-decreasing arrival: a new
+        # value evicts only strictly greater ones, so the front is the
+        # leftmost minimum of the window.
+        window: deque[int] = deque()
         for p in range(t, n + 1):
-            lo = max(t - 1, int(cpu_min_q[p]), int(mem_min_q[p]))
-            if lo >= p:
-                continue
-            window = arrival[lo:p]
-            k = int(np.argmin(window))
-            if window[k] < np.inf:
-                next_best[p] = window[k]
-                parent[p] = lo + k
-        best = next_best
+            value = arrival[p - 1]
+            if value < math.inf:  # an unreachable split never wins
+                while window and arrival[window[-1]] > value:
+                    window.pop()
+                window.append(p - 1)
+            while window and window[0] < lo[p]:
+                window.popleft()
+            if window:
+                q = window[0]
+                next_best[p] = arrival[q]
+                parent[p] = q
+        best = np.array(next_best)
         parents.append(parent)
+        optima.append(trace_back(best, parents))
+    return optima
 
-    if not np.isfinite(best[n]):
+
+def _solved(
+    model: FfnnModel, chain: DeviceChain, points: tuple[int, ...] | None
+) -> SolvedSplit | None:
+    if points is None:
         return None
-    points = [n]
-    for parent in reversed(parents):
-        points.append(int(parent[points[-1]]))
-    solution = SplitSolution(points=tuple(reversed(points)))
+    solution = SplitSolution(points=points)
     return SolvedSplit(solution=solution, cost=objective(model, chain, solution).total)
+
+
+def solve_fixed_splits(
+    model: FfnnModel, chain: DeviceChain, num_splits: int
+) -> SolvedSplit | None:
+    """Optimal split into exactly ``num_splits`` non-empty blocks, or None."""
+    _validate_num_splits(model, chain, num_splits)
+    return _solved(model, chain, _optimal_points(model, chain, num_splits)[-1])
 
 
 def solve(
@@ -125,8 +164,8 @@ def solve(
         limit = min(limit, max_splits)
     per_kappa: dict[int, SolvedSplit | None] = {}
     best: SolvedSplit | None = None
-    for kappa in range(1, limit + 1):
-        entry = solve_fixed_splits(model, chain, kappa)
+    for kappa, points in enumerate(_optimal_points(model, chain, limit), start=1):
+        entry = _solved(model, chain, points)
         per_kappa[kappa] = entry
         if entry is not None and (best is None or entry.cost < best.cost):
             best = entry

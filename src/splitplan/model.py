@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,27 @@ class FfnnModel:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def cut_table(self) -> np.ndarray:
+        """Boundary traffic for every split position, built once per model.
+
+        ``table[p]`` (length ``n + 1``) is the bit count crossing a split
+        placed after layer ``p``.  Row ``i`` of the traffic matrix only holds
+        entries with ``j > i``, so the pairs with ``i <= p`` are the first
+        ``p`` row sums, and subtracting the first ``p`` column sums removes
+        exactly the pairs that also have ``j <= p``.  The O(n^2) build runs on
+        first use; the read-only result is shared by every later caller.
+        """
+        row_totals = self.traffic.sum(axis=1)
+        col_totals = self.traffic.sum(axis=0)
+        table = np.zeros(self.num_layers + 1)
+        table[1:] = np.cumsum(row_totals) - np.cumsum(col_totals)
+        # Nothing flows past the last layer; pin the identity against float
+        # rounding between the two accumulation orders.
+        table[-1] = 0.0
+        table.setflags(write=False)
+        return table
 
     def cpu_costs(self) -> np.ndarray:
         return np.array([layer.cpu_cost for layer in self.layers])
@@ -168,17 +190,18 @@ def validate_model(model: FfnnModel) -> ValidationReport:
             violations.append(f"layer {pos} cpu_cost {layer.cpu_cost} outside [0, 1]")
         if not 0.0 < layer.mem_cost <= 1.0:
             violations.append(f"layer {pos} mem_cost {layer.mem_cost} outside (0, 1]")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            value = model.traffic[i - 1][j - 1]
-            if value == 0.0:
-                continue
-            if i == j:
-                violations.append(f"diagonal traffic at ({i},{j})")
-            elif i > j:
-                violations.append(f"lower-triangular traffic at ({i},{j})")
-            elif value < 0.0 or not math.isfinite(value):
-                violations.append(f"negative traffic at ({i},{j})")
+    # Only nonzero cells can violate anything (NaN counts as nonzero, -0.0
+    # does not); ``np.nonzero`` lists them in row-major order.
+    rows, cols = np.nonzero(model.traffic)
+    values = model.traffic[rows, cols]
+    bad = ~((rows < cols) & (values >= 0.0) & (values < math.inf))
+    for i, j in zip((rows[bad] + 1).tolist(), (cols[bad] + 1).tolist()):
+        if i == j:
+            violations.append(f"diagonal traffic at ({i},{j})")
+        elif i > j:
+            violations.append(f"lower-triangular traffic at ({i},{j})")
+        else:
+            violations.append(f"negative traffic at ({i},{j})")
     return ValidationReport(violations=tuple(violations))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from splitplan.profiles import load_chain, load_model, save_chain, save_model
 from splitplan.scenarios import generate_device_chain, generate_random_model, iteration_rng
 from splitplan.svgplot import render_sweep
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 TOY_MODEL = "profiles/chain10.model.json"
 TOY_CHAIN = "profiles/chain10.chain.json"
 
@@ -110,6 +115,29 @@ class TestPlan:
         code = main(["plan", "--model", str(bad), "--chain", TOY_CHAIN])
         assert code == 2
         assert "invalid model" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_without_warnings(self):
+        # Importing the package must not import ``splitplan.cli`` ahead of
+        # runpy, which warns that the module is already in sys.modules.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "splitplan.cli",
+             "plan", "--model", TOY_MODEL, "--chain", TOY_CHAIN],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "splitting points:" in done.stdout
+
+    def test_cli_stays_importable_from_the_package(self):
+        from splitplan import cli
+
+        assert cli.main is main
 
 
 class TestFootprint:

@@ -76,6 +76,16 @@ class TestCutTraffic:
                 expected = brute_force_cut(dense, p)
                 assert math.isclose(table[p], expected, rel_tol=1e-12, abs_tol=1e-12)
 
+    def test_table_is_built_once_per_model_and_read_only(self):
+        model = make_model([0.5] * 3, THREE_LAYER_TRAFFIC)
+        table = cut_traffic_table(model)
+        assert cut_traffic_table(model) is table
+        assert table.tolist() == [0.0, 6.0, 10.0, 0.0]
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+        # An equal model is a separate object with its own table.
+        assert cut_traffic_table(make_model([0.5] * 3, THREE_LAYER_TRAFFIC)) is not table
+
     def test_rejects_out_of_range_boundary(self):
         model = make_model([0.5] * 3, THREE_LAYER_TRAFFIC)
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from splitplan import exact, heuristic
-from splitplan.cost import is_feasible
+from splitplan import exact, heuristic, scenarios
+from splitplan.cost import cut_traffic_table, is_feasible, objective
 from splitplan.exact import EnumerationBudgetExceeded
 from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
 
@@ -63,6 +63,62 @@ def random_instance(rng, max_layers=10, max_devices=4):
     )
     rates = [float(rng.uniform(0.25, 2.0)) for _ in range(num_devices - 1)]
     return model, make_chain(list(zip(cpu_caps, mem_caps)), rates)
+
+
+def reference_fixed_splits(model, chain, num_splits):
+    """The DP rerun for one partition count, with an argmin per split position."""
+    n = model.num_layers
+    prefix_cpu = np.zeros(n + 1)
+    prefix_cpu[1:] = np.cumsum(model.cpu_costs())
+    prefix_mem = np.zeros(n + 1)
+    prefix_mem[1:] = np.cumsum(model.mem_costs())
+    cut_table = cut_traffic_table(model)
+
+    def block_limits(device_index):
+        device = chain.devices[device_index]
+        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - device.cpu_capacity, "left")
+        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
+        return cpu_min_q, mem_min_q
+
+    cpu_min_q, mem_min_q = block_limits(0)
+    best = np.full(n + 1, np.inf)
+    fits_first = (cpu_min_q == 0) & (mem_min_q == 0)
+    best[1:][fits_first[1:]] = 0.0
+    parents = []
+    for t in range(2, num_splits + 1):
+        cpu_min_q, mem_min_q = block_limits(t - 1)
+        arrival = best + cut_table / chain.link_rate[t - 2]
+        next_best = np.full(n + 1, np.inf)
+        parent = np.zeros(n + 1, dtype=np.int64)
+        for p in range(t, n + 1):
+            lo = max(t - 1, int(cpu_min_q[p]), int(mem_min_q[p]))
+            if lo >= p:
+                continue
+            window = arrival[lo:p]
+            k = int(np.argmin(window))
+            if window[k] < np.inf:
+                next_best[p] = window[k]
+                parent[p] = lo + k
+        best = next_best
+        parents.append(parent)
+    if not np.isfinite(best[n]):
+        return None
+    points = [n]
+    for parent in reversed(parents):
+        points.append(int(parent[points[-1]]))
+    solution = SplitSolution(points=tuple(reversed(points)))
+    return exact.SolvedSplit(solution=solution, cost=objective(model, chain, solution).total)
+
+
+def ladder_instance(rng):
+    model = scenarios.generate_random_model(
+        int(rng.integers(2, 33)), float(rng.choice([0.0, 0.2, 0.5])), rng
+    )
+    return model, scenarios.generate_device_chain(int(rng.integers(2, 7)), model)
+
+
+def fractional_instance(rng):
+    return random_instance(rng, max_layers=30, max_devices=7)
 
 
 class TestSolveFixedSplits:
@@ -161,6 +217,52 @@ class TestSolveGlobal:
         assert got.per_kappa[1] is None
         assert got.best.cost == got.per_kappa[2].cost
         assert got.best.solution.kappa == 2
+
+
+class TestOnePassAgainstPerCountReference:
+    """The one DP pass must reproduce the per-count reruns bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_instance, seed",
+        [(ladder_instance, 4471), (fractional_instance, 5113)],
+        ids=["capacity-ladder", "fractional-random-capacity"],
+    )
+    def test_per_kappa_matches_reference_exactly(self, make_instance, seed):
+        rng = np.random.default_rng(seed)
+        feasible = 0
+        for _ in range(500):
+            model, chain = make_instance(rng)
+            got = exact.solve(model, chain)
+            limit = min(model.num_layers, chain.num_devices)
+            assert list(got.per_kappa) == list(range(1, limit + 1))
+            for kappa, entry in got.per_kappa.items():
+                expected = reference_fixed_splits(model, chain, kappa)
+                # SolvedSplit equality compares the points and the exact cost.
+                assert entry == expected
+                assert exact.solve_fixed_splits(model, chain, kappa) == expected
+                feasible += expected is not None
+        assert feasible > 500  # both families must exercise feasible counts
+
+    def test_cost_ties_keep_the_leftmost_split_for_every_count(self):
+        # Zero traffic makes every split free, so each step's window holds
+        # equal minima and the smallest q must win at every step.
+        n = 6
+        model = make_model([0.1] * n, np.zeros((n, n)))
+        got = exact.solve(model, ample_chain(4))
+        for kappa in range(1, 5):
+            expected = tuple(range(1, kappa)) + (n,)
+            assert got.per_kappa[kappa].solution.points == expected
+            assert got.per_kappa[kappa].cost == 0.0
+            fixed = exact.solve_fixed_splits(model, ample_chain(4), kappa)
+            assert fixed.solution.points == expected
+
+    def test_empty_windows_leave_the_count_infeasible(self):
+        # Device 2 can host no layer at all, so no split reaches device 3.
+        model = make_model([0.2] * 4, np.zeros((4, 4)))
+        chain = make_chain([(100.0, 100.0), (0.0, 0.0), (100.0, 100.0)], [1.0, 1.0])
+        got = exact.solve(model, chain)
+        assert got.per_kappa[2] is None and got.per_kappa[3] is None
+        assert got.best.solution.points == (4,)
 
 
 class TestAgainstEnumeration:

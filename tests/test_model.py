@@ -134,6 +134,25 @@ class TestValidateModel:
         report = validate_model(model)
         assert "negative traffic at (1,2)" in report.violations
 
+    def test_traffic_violations_are_listed_in_row_major_order(self):
+        nan, inf = float("nan"), float("inf")
+        traffic = [
+            [nan, 2.0, -1.0, inf],
+            [0.0, 0.0, -0.0, nan],
+            [3.0, 0.0, 0.0, 1.0],
+            [nan, -0.0, 0.0, 0.0],
+        ]
+        report = validate_model(make_model([0.5] * 4, traffic=traffic))
+        # -0.0 equals zero, so neither of its cells is reported.
+        assert report.violations == (
+            "diagonal traffic at (1,1)",
+            "negative traffic at (1,3)",
+            "negative traffic at (1,4)",
+            "negative traffic at (2,4)",
+            "lower-triangular traffic at (3,1)",
+            "lower-triangular traffic at (4,1)",
+        )
+
     def test_cost_ranges_are_reported(self):
         model = make_model([1.5, 0.5], cpu_costs=[1.0, 2.0])
         report = validate_model(model)

@@ -244,13 +244,28 @@ def _parse_experiment_config(path: str) -> dict:
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key in ("num_layers", "num_devices", "skip_probs"):
-        if not isinstance(payload.get(key), list):
-            raise ValueError(f"{path}: '{key}' must be a list")
+    for key in ("num_layers", "num_devices"):
+        values = payload.get(key)
+        if not isinstance(values, list) or not all(map(_is_integer, values)):
+            raise ValueError(f"{path}: '{key}' must be a list of integers, got {values!r}")
+    probs = payload.get("skip_probs")
+    if not isinstance(probs, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0
+        for p in probs
+    ):
+        raise ValueError(
+            f"{path}: 'skip_probs' must be a list of numbers in [0, 1], got {probs!r}"
+        )
     for key in ("iterations", "seed"):
-        if not isinstance(payload.get(key), int):
-            raise ValueError(f"{path}: '{key}' must be an integer")
+        if not _is_integer(payload.get(key)):
+            raise ValueError(f"{path}: '{key}' must be an integer, got {payload.get(key)!r}")
+    if not _is_integer(payload.get("threads", 1)):
+        raise ValueError(f"{path}: 'threads' must be an integer, got {payload['threads']!r}")
     return payload
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _experiment_cells(config: dict, seed_override: int | None) -> list[ScenarioConfig]:
@@ -270,17 +285,26 @@ def _experiment_cells(config: dict, seed_override: int | None) -> list[ScenarioC
 
 
 def _resolve_threads(args: argparse.Namespace, config: dict) -> int:
-    if args.threads is not None:
-        return args.threads
+    """Worker count from the option, the environment or the config, in that order.
+
+    It must lie in 1..os.cpu_count(); the check runs before any worker starts.
+    """
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
+    if args.threads is not None:
+        threads = args.threads
+    elif env is not None:
         try:
-            return int(env)
+            threads = int(env)
         except ValueError as error:
             raise ValueError(
                 f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
             ) from error
-    return config.get("threads", 1)
+    else:
+        threads = config.get("threads", 1)
+    limit = os.cpu_count() or 1
+    if not 1 <= threads <= limit:
+        raise ValueError(f"threads must be in 1..{limit} (the CPU count), got {threads}")
+    return threads
 
 
 def _write_csv(records, path: str | Path) -> None:

@@ -1,12 +1,13 @@
 """Transfer-cost objective and capacity feasibility checks.
 
 Placing a split after layer ``p`` sends every bit that crosses the boundary,
-i.e. the sum of ``traffic[i][j]`` over pairs with ``i <= p < j``, through the
-link behind the hosting device.  The planning objective is the total transfer
-time: for a split solution ``x`` it is the sum over the first ``kappa - 1``
-points of ``cut_traffic(x_t) / link_rate[t]``.  The final point ends the
-model, so nothing is forwarded there and the return trip of the output is not
-counted.
+i.e. the bits of every edge ``i -> j`` with ``i <= p < j``, through the link
+behind the hosting device.  All boundaries' totals come from one cut table,
+built in O(n + E) from the model's edge arrays and cached on the model.  The
+planning objective is the total transfer time: for a split solution ``x`` it
+is the sum over the first ``kappa - 1`` points of
+``cut_traffic(x_t) / link_rate[t]``.  The final point ends the model, so
+nothing is forwarded there and the return trip of the output is not counted.
 
 A split is feasible when every device can host its block: the block's summed
 cpu cost and its summed memory cost each stay within the device's capacity
@@ -49,7 +50,7 @@ def cut_traffic_table(model: FfnnModel) -> np.ndarray:
 
     Returns the read-only array ``table`` of length ``n + 1`` where
     ``table[p]`` is the bit count crossing a split placed after layer ``p``.
-    The O(n^2) build over the traffic matrix runs on the model's first call
+    The O(n + E) build over the model's edge arrays runs on the first call
     (see ``FfnnModel.cut_table``); later calls return the same array.
     """
     return model.cut_table

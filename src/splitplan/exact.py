@@ -9,10 +9,11 @@ both fit the device, the rule ``cost.is_feasible`` applies to whole
 solutions.  The earliest split ``q`` whose block ``q+1..p`` fits a device
 never moves left as ``p`` grows, so each step is a sliding-window minimum
 that a monotone deque answers in O(n); the whole pass costs O(kappa * n)
-after the model's O(n^2) cut table is built once.  ``solve`` keeps the
-global best over all counts and ``solve_fixed_splits`` returns one count's
-entry.  ``brute_force_fixed_splits`` enumerates every candidate split vector
-and exists to cross-check the DP on small instances; it refuses instances
+after the model's O(n + E) cut table and its cost prefix sums are built
+once.  ``solve`` keeps the global best over all counts and
+``solve_fixed_splits`` returns one count's entry.
+``brute_force_fixed_splits`` enumerates every candidate split vector and
+exists to cross-check the DP on small instances; it refuses instances
 beyond an explicit candidate budget.
 """
 
@@ -80,10 +81,8 @@ def _optimal_points(
     if limit < 1:
         return []
     n = model.num_layers
-    prefix_cpu = np.zeros(n + 1)
-    prefix_cpu[1:] = np.cumsum(model.cpu_costs())
-    prefix_mem = np.zeros(n + 1)
-    prefix_mem[1:] = np.cumsum(model.mem_costs())
+    prefix_cpu = model.prefix_cpu
+    prefix_mem = model.prefix_mem
     cut_table = cut_traffic_table(model)
 
     def block_limits(device_index: int) -> tuple[np.ndarray, np.ndarray]:

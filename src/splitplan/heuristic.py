@@ -19,7 +19,6 @@ because every extra boundary can only add transfer time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .cost import CostBreakdown, cut_traffic_table, objective
 from .model import DeviceChain, FfnnModel, SplitSolution, max_split_count
@@ -84,10 +83,12 @@ def solve_fixed_splits(
             f"({model.num_layers} layers, {chain.num_devices} devices)"
         )
     n = model.num_layers
-    cpu = [layer.cpu_cost for layer in model.layers]
-    mem = [layer.mem_cost for layer in model.layers]
-    prefix_cpu = list(accumulate(cpu, initial=0.0))
-    prefix_mem = list(accumulate(mem, initial=0.0))
+    # Plain lists index faster than arrays in the scan below; the model
+    # builds each array once, so an attempt only copies them out.
+    cpu = model.cpu_costs().tolist()
+    mem = model.mem_costs().tolist()
+    prefix_cpu = model.prefix_cpu.tolist()
+    prefix_mem = model.prefix_mem.tolist()
     cut = cut_traffic_table(model).tolist()
     cpu_cap = [d.cpu_capacity for d in chain.devices]
     mem_cap = [d.mem_capacity for d in chain.devices]

@@ -1,17 +1,23 @@
 """Core data model for chain-partitioned feed-forward networks.
 
-A feed-forward model is an ordered list of layers plus a strictly
-upper-triangular traffic matrix: ``traffic[i-1][j-1]`` holds the number of
-bits layer ``i`` sends to layer ``j`` (1-based indices, ``i < j``).  A device
-chain is an ordered list of devices connected by point-to-point links, the
-first device being the one that owns the input data.
+A feed-forward model is an ordered list of layers plus its traffic, stored
+as three row-major edge arrays: edge ``e`` sends ``bits[e]`` from layer
+``src[e] + 1`` to layer ``dst[e] + 1`` (0-based positions in the arrays,
+1-based layer indices everywhere else).  A valid model's edges point forward
+(``src < dst``), the sparse form of a strictly upper-triangular traffic
+matrix; only nonzero entries are stored, so loading, saving, validating and
+building the cut table each cost O(n + E) for n layers and E edges, and no
+n x n matrix is ever built.  A device chain is an ordered list of devices
+connected by point-to-point links, the first device being the one that owns
+the input data.
 
 A split solution is a strictly increasing vector of layer indices
 ``x = [x_1, ..., x_k]`` with ``x_k`` equal to the number of layers; device
 ``t`` hosts the contiguous layer block ``x_{t-1}+1 .. x_t``.
 
 All types are immutable after construction.  Constructors reject only
-structurally unusable data (wrong shapes, NaN, non-positive link rates);
+structurally unusable data (mismatched edge arrays, out-of-range or repeated
+edges, NaN capacities, non-positive link rates);
 value-level checks live in :func:`validate_model` and :func:`validate_chain`
 so that questionable inputs can be loaded and reported instead of raised at
 parse time.
@@ -38,21 +44,68 @@ class LayerProfile:
 
 @dataclass(frozen=True, eq=False)
 class FfnnModel:
-    """An ordered layer chain together with its inter-layer traffic matrix."""
+    """An ordered layer chain together with its inter-layer traffic edges.
+
+    Edge ``e`` carries ``bits[e]`` from layer ``src[e] + 1`` to layer
+    ``dst[e] + 1`` (the arrays hold 0-based positions).  The constructor
+    sorts the edges row-major (by ``src``, then ``dst``), drops zero entries
+    (``-0.0`` included; NaN is kept) and stores read-only copies.  It raises
+    ``ValueError`` only for structure: arrays of different lengths, indices
+    outside ``0..n-1`` or a repeated ``(src, dst)`` pair.  Without edge
+    arrays the model has no traffic.
+    """
 
     layers: tuple[LayerProfile, ...]
-    traffic: np.ndarray
+    src: np.ndarray = ()
+    dst: np.ndarray = ()
+    bits: np.ndarray = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
-        matrix = np.array(self.traffic, dtype=np.float64)
         n = len(self.layers)
-        if matrix.shape != (n, n):
+        src = _index_array(self.src, "src")
+        dst = _index_array(self.dst, "dst")
+        bits = np.array(self.bits, dtype=np.float64).reshape(-1)
+        if not len(src) == len(dst) == len(bits):
             raise ValueError(
-                f"traffic matrix shape {matrix.shape} does not match {n} layers"
+                f"edge arrays differ in length: src {len(src)}, dst {len(dst)}, "
+                f"bits {len(bits)}"
             )
-        matrix.setflags(write=False)
-        object.__setattr__(self, "traffic", matrix)
+        if len(src):
+            # Viewed as unsigned, a negative index exceeds every valid one.
+            largest = np.maximum(src.view(np.uintp), dst.view(np.uintp))
+            if largest.max() >= n:
+                e = np.flatnonzero(largest >= n)[0]
+                raise ValueError(
+                    f"edge ({src[e]}, {dst[e]}) outside 0..{n - 1} ({n} layers)"
+                )
+            key = src * n + dst
+            if not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")
+                src, dst, bits, key = src[order], dst[order], bits[order], key[order]
+                repeated = np.flatnonzero(key[1:] == key[:-1])
+                if len(repeated):
+                    e = repeated[0]
+                    raise ValueError(f"duplicate edge ({src[e]}, {dst[e]})")
+            if not bits.all():  # NaN counts as nonzero, -0.0 does not
+                keep = bits != 0.0
+                src, dst, bits = src[keep], dst[keep], bits[keep]
+        for name, array in (("src", src), ("dst", dst), ("bits", bits)):
+            object.__setattr__(self, name, _read_only(array))
+
+    @classmethod
+    def from_matrix(cls, layers, matrix) -> FfnnModel:
+        """Build a model from a dense matrix: ``matrix[i][j]`` bits from i+1 to j+1."""
+        layers = tuple(layers)
+        dense = np.asarray(matrix, dtype=np.float64)
+        n = len(layers)
+        if dense.shape != (n, n):
+            raise ValueError(
+                f"traffic matrix shape {dense.shape} does not match {n} layers"
+            )
+        # ``np.nonzero`` lists cells row-major; NaN counts as nonzero, -0.0 not.
+        src, dst = np.nonzero(dense)
+        return cls(layers=layers, src=src, dst=dst, bits=dense[src, dst])
 
     @property
     def num_layers(self) -> int:
@@ -63,34 +116,80 @@ class FfnnModel:
         """Boundary traffic for every split position, built once per model.
 
         ``table[p]`` (length ``n + 1``) is the bit count crossing a split
-        placed after layer ``p``.  Row ``i`` of the traffic matrix only holds
-        entries with ``j > i``, so the pairs with ``i <= p`` are the first
-        ``p`` row sums, and subtracting the first ``p`` column sums removes
-        exactly the pairs that also have ``j <= p``.  The O(n^2) build runs on
-        first use; the read-only result is shared by every later caller.
+        placed after layer ``p``.  Edges only point forward, so the pairs with
+        source ``<= p`` are the first ``p`` per-source totals, and subtracting
+        the first ``p`` per-target totals removes exactly the pairs that also
+        end at or before ``p``.  Each total sums its edges in row-major order,
+        left to right.  The O(n + E) build runs on first use; the read-only
+        result is shared by every later caller.
         """
-        row_totals = self.traffic.sum(axis=1)
-        col_totals = self.traffic.sum(axis=0)
-        table = np.zeros(self.num_layers + 1)
-        table[1:] = np.cumsum(row_totals) - np.cumsum(col_totals)
+        n = self.num_layers
+        table = np.zeros(n + 1)
+        table[1:] = np.cumsum(np.bincount(self.src, self.bits, n)) - np.cumsum(
+            np.bincount(self.dst, self.bits, n)
+        )
         # Nothing flows past the last layer; pin the identity against float
         # rounding between the two accumulation orders.
         table[-1] = 0.0
-        table.setflags(write=False)
-        return table
+        return _read_only(table)
+
+    # Per-layer costs and their prefix sums are built once per model, like
+    # the cut table, and shared read-only by every solver attempt.
+    @cached_property
+    def _cpu_costs(self) -> np.ndarray:
+        return _read_only(np.array([layer.cpu_cost for layer in self.layers]))
+
+    @cached_property
+    def _mem_costs(self) -> np.ndarray:
+        return _read_only(np.array([layer.mem_cost for layer in self.layers]))
+
+    @cached_property
+    def prefix_cpu(self) -> np.ndarray:
+        """``prefix_cpu[p]``: summed cpu cost of layers ``1..p``, left to right."""
+        return _prefix_sums(self._cpu_costs)
+
+    @cached_property
+    def prefix_mem(self) -> np.ndarray:
+        """``prefix_mem[p]``: summed memory cost of layers ``1..p``, left to right."""
+        return _prefix_sums(self._mem_costs)
 
     def cpu_costs(self) -> np.ndarray:
-        return np.array([layer.cpu_cost for layer in self.layers])
+        """Per-layer cpu costs (read-only, shared)."""
+        return self._cpu_costs
 
     def mem_costs(self) -> np.ndarray:
-        return np.array([layer.mem_cost for layer in self.layers])
+        """Per-layer memory costs (read-only, shared)."""
+        return self._mem_costs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FfnnModel):
             return NotImplemented
-        return self.layers == other.layers and np.array_equal(
-            self.traffic, other.traffic
+        return (
+            self.layers == other.layers
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.bits, other.bits)
         )
+
+
+def _index_array(values, label: str) -> np.ndarray:
+    array = np.array(values).reshape(-1)
+    if not len(array):
+        return np.zeros(0, dtype=np.intp)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{label} must hold integers, got dtype {array.dtype}")
+    return array.astype(np.intp, copy=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _prefix_sums(costs: np.ndarray) -> np.ndarray:
+    prefix = np.zeros(len(costs) + 1)
+    prefix[1:] = np.cumsum(costs)
+    return _read_only(prefix)
 
 
 @dataclass(frozen=True)
@@ -175,9 +274,10 @@ class ValidationReport:
 def validate_model(model: FfnnModel) -> ValidationReport:
     """Check every model invariant; list each violation instead of raising.
 
-    Traffic must be strictly upper-triangular (feed-forward order: data only
-    flows to later layers) and non-negative; cpu costs lie in [0, 1] and
-    memory costs in (0, 1].
+    Every edge must point to a later layer (feed-forward order: the sparse
+    form of a strictly upper-triangular matrix) and carry a finite,
+    non-negative bit count; cpu costs lie in [0, 1] and memory costs in
+    (0, 1].  O(n + E).
     """
     violations: list[str] = []
     n = model.num_layers
@@ -190,12 +290,11 @@ def validate_model(model: FfnnModel) -> ValidationReport:
             violations.append(f"layer {pos} cpu_cost {layer.cpu_cost} outside [0, 1]")
         if not 0.0 < layer.mem_cost <= 1.0:
             violations.append(f"layer {pos} mem_cost {layer.mem_cost} outside (0, 1]")
-    # Only nonzero cells can violate anything (NaN counts as nonzero, -0.0
-    # does not); ``np.nonzero`` lists them in row-major order.
-    rows, cols = np.nonzero(model.traffic)
-    values = model.traffic[rows, cols]
-    bad = ~((rows < cols) & (values >= 0.0) & (values < math.inf))
-    for i, j in zip((rows[bad] + 1).tolist(), (cols[bad] + 1).tolist()):
+    # The constructor kept only nonzero entries (NaN counts as nonzero, -0.0
+    # does not), sorted row-major, so each offending edge is listed in the
+    # order a row-by-row scan of the dense matrix would meet it.
+    bad = ~((model.src < model.dst) & (model.bits >= 0.0) & (model.bits < math.inf))
+    for i, j in zip((model.src[bad] + 1).tolist(), (model.dst[bad] + 1).tolist()):
         if i == j:
             violations.append(f"diagonal traffic at ({i},{j})")
         elif i > j:

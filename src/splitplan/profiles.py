@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +39,8 @@ from .model import Device, DeviceChain, FfnnModel, LayerProfile
 
 RAW_PROFILE_VERSION = 1
 MODEL_FORMAT_VERSION = 1
+# Every JSON number in [0, _MAX_FLOAT] converts to a finite float.
+_MAX_FLOAT = sys.float_info.max
 
 
 class ProfileFormatError(ValueError):
@@ -93,9 +96,14 @@ class NormalizationFactors:
         return self.mem_factor / self.bandwidth_factor
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, template: str, *args: object) -> None:
+    """Raise unless ``condition``; the message is ``template.format(*args)``.
+
+    The message is formatted only when the check fails, so per-row checks
+    cost no string building on valid input.
+    """
     if not condition:
-        raise ProfileFormatError(message)
+        raise ProfileFormatError(template.format(*args))
 
 
 def _read_json(path: str | Path) -> object:
@@ -112,14 +120,19 @@ def _write_json(path: str | Path, payload: object) -> None:
     )
 
 
-def _number(value: object, context: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{context} must be a number, got {value!r}",
-    )
-    result = float(value)
-    _require(math.isfinite(result), f"{context} must be finite, got {value!r}")
-    return result
+def _number(value: object, template: str, *args: object) -> float:
+    """``value`` as a finite float; ``template.format(*args)`` names it in errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            result = float(value)
+        except OverflowError:  # an integer beyond the float range
+            result = math.inf
+        if math.isfinite(result):
+            return result
+        reason = f"must be finite, got {value!r}"
+    else:
+        reason = f"must be a number, got {value!r}"
+    raise ProfileFormatError(f"{template.format(*args)} {reason}")
 
 
 def load_profile(path: str | Path) -> list[RawLayerProfile]:
@@ -129,69 +142,69 @@ def load_profile(path: str | Path) -> list[RawLayerProfile]:
     target is unknown, and edges that do not point to a later layer.
     """
     payload = _read_json(path)
-    _require(isinstance(payload, dict), f"{path}: top level must be an object")
+    _require(isinstance(payload, dict), "{}: top level must be an object", path)
     _require(
         payload.get("version") == RAW_PROFILE_VERSION,
-        f"{path}: unsupported version {payload.get('version')!r}, "
-        f"expected {RAW_PROFILE_VERSION}",
+        "{}: unsupported version {!r}, expected {}",
+        path, payload.get("version"), RAW_PROFILE_VERSION,
     )
     rows = payload.get("layers")
-    _require(isinstance(rows, list) and rows, f"{path}: 'layers' must be a non-empty list")
+    _require(isinstance(rows, list) and rows, "{}: 'layers' must be a non-empty list", path)
 
     names: list[str] = []
+    order: dict[str, int] = {}  # name -> 1-based position
     for position, row in enumerate(rows, start=1):
-        _require(isinstance(row, dict), f"{path}: layer {position} must be an object")
+        _require(isinstance(row, dict), "{}: layer {} must be an object", path, position)
         name = row.get("name")
         _require(
             isinstance(name, str) and name,
-            f"{path}: layer {position} needs a non-empty string name",
+            "{}: layer {} needs a non-empty string name", path, position,
         )
-        _require(name not in names, f"{path}: duplicate layer name {name!r}")
+        _require(name not in order, "{}: duplicate layer name {!r}", path, name)
+        order[name] = position
         names.append(name)
 
-    order = {name: position for position, name in enumerate(names, start=1)}
     layers: list[RawLayerProfile] = []
     for position, row in enumerate(rows, start=1):
         name = names[position - 1]
         params = row.get("trainable_params")
         _require(
             isinstance(params, int) and not isinstance(params, bool),
-            f"{path}: layer {name!r} trainable_params must be an integer",
+            "{}: layer {!r} trainable_params must be an integer", path, name,
         )
         _require(
             params >= 0,
-            f"{path}: layer {name!r} trainable_params must be >= 0, got {params}",
+            "{}: layer {!r} trainable_params must be >= 0, got {}", path, name, params,
         )
         edges: list[RawEdge] = []
         seen_targets: set[str] = set()
         for edge in row.get("successors", []):
             _require(
-                isinstance(edge, dict),
-                f"{path}: layer {name!r} successors must be objects",
+                isinstance(edge, dict), "{}: layer {!r} successors must be objects", path, name
             )
             target = edge.get("to")
             _require(
                 isinstance(target, str) and target in order,
-                f"{path}: layer {name!r} has unknown edge target {target!r}",
+                "{}: layer {!r} has unknown edge target {!r}", path, name, target,
             )
             _require(
                 order[target] > position,
-                f"{path}: backward edge {name!r} -> {target!r} "
-                f"(targets must come later in the layer order)",
+                "{}: backward edge {!r} -> {!r} (targets must come later in the layer order)",
+                path, name, target,
             )
             _require(
                 target not in seen_targets,
-                f"{path}: layer {name!r} lists target {target!r} twice",
+                "{}: layer {!r} lists target {!r} twice", path, name, target,
             )
             seen_targets.add(target)
             bits = edge.get("bits", "derive")
             if bits == "derive":
                 edges.append(RawEdge(to=target, bits=None))
             else:
-                value = _number(bits, f"{path}: edge {name!r} -> {target!r} bits")
+                value = _number(bits, "{}: edge {!r} -> {!r} bits", path, name, target)
                 _require(
                     value >= 0.0,
-                    f"{path}: edge {name!r} -> {target!r} bits must be >= 0",
+                    "{}: edge {!r} -> {!r} bits must be >= 0", path, name, target,
                 )
                 edges.append(RawEdge(to=target, bits=value))
         layers.append(
@@ -242,8 +255,6 @@ def normalize(
         cpu_factor=cpu_factor, mem_factor=mem_factor, bandwidth_factor=bandwidth_factor
     )
 
-    order = {raw.name: position for position, raw in enumerate(raw_layers, start=1)}
-    n = len(raw_layers)
     layers = tuple(
         LayerProfile(
             index=position,
@@ -253,16 +264,18 @@ def normalize(
         )
         for position, raw in enumerate(raw_layers, start=1)
     )
-    traffic = np.zeros((n, n))
-    for position, raw in enumerate(raw_layers, start=1):
+    order = {raw.name: position for position, raw in enumerate(raw_layers)}
+    src: list[int] = []
+    dst: list[int] = []
+    bits: list[float] = []
+    for position, raw in enumerate(raw_layers):
         for edge in raw.successors:
-            bits = (
-                layers[position - 1].mem_cost
-                if edge.bits is None
-                else edge.bits / mem_factor
+            src.append(position)
+            dst.append(order[edge.to])
+            bits.append(
+                layers[position].mem_cost if edge.bits is None else edge.bits / mem_factor
             )
-            traffic[position - 1][order[edge.to] - 1] = bits
-    model = FfnnModel(layers=layers, traffic=traffic)
+    model = FfnnModel(layers=layers, src=src, dst=dst, bits=bits)
 
     devices = tuple(
         Device(
@@ -279,14 +292,13 @@ def normalize(
 
 
 def save_model(model: FfnnModel, path: str | Path) -> None:
-    """Write a model to the canonical JSON format."""
-    edges = []
-    n = model.num_layers
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bits = float(model.traffic[i - 1][j - 1])
-            if bits != 0.0:
-                edges.append({"from": i, "to": j, "bits": bits})
+    """Write a model to the canonical JSON format, edges in row-major order."""
+    edges = [
+        {"from": source, "to": target, "bits": bits}
+        for source, target, bits in zip(
+            (model.src + 1).tolist(), (model.dst + 1).tolist(), model.bits.tolist()
+        )
+    ]
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "layers": [
@@ -299,59 +311,116 @@ def save_model(model: FfnnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FfnnModel:
-    """Read a canonical model file; inverse of :func:`save_model`."""
+    """Read a canonical model file; inverse of :func:`save_model`.
+
+    Edges may come in any order.  Every check runs in file order, edge by
+    edge, and the first failure is reported; a message is only formatted
+    then, so valid input costs O(n + E) plus a sort if the edges are out of
+    order.
+    """
     payload = _read_json(path)
-    _require(isinstance(payload, dict), f"{path}: top level must be an object")
+    _require(isinstance(payload, dict), "{}: top level must be an object", path)
     _require(
         payload.get("version") == MODEL_FORMAT_VERSION,
-        f"{path}: unsupported version {payload.get('version')!r}, "
-        f"expected {MODEL_FORMAT_VERSION}",
+        "{}: unsupported version {!r}, expected {}",
+        path, payload.get("version"), MODEL_FORMAT_VERSION,
     )
     rows = payload.get("layers")
-    _require(isinstance(rows, list) and rows, f"{path}: 'layers' must be a non-empty list")
+    _require(isinstance(rows, list) and rows, "{}: 'layers' must be a non-empty list", path)
     layers = []
     for position, row in enumerate(rows, start=1):
-        _require(isinstance(row, dict), f"{path}: layer {position} must be an object")
+        _require(isinstance(row, dict), "{}: layer {} must be an object", path, position)
         name = row.get("name")
         _require(
             name is None or isinstance(name, str),
-            f"{path}: layer {position} name must be a string or null",
+            "{}: layer {} name must be a string or null", path, position,
         )
         layers.append(
             LayerProfile(
                 index=position,
-                cpu_cost=_number(row.get("cpu_cost"), f"{path}: layer {position} cpu_cost"),
-                mem_cost=_number(row.get("mem_cost"), f"{path}: layer {position} mem_cost"),
+                cpu_cost=_number(row.get("cpu_cost"), "{}: layer {} cpu_cost", path, position),
+                mem_cost=_number(row.get("mem_cost"), "{}: layer {} mem_cost", path, position),
                 name=name,
             )
         )
     n = len(layers)
-    traffic = np.zeros((n, n))
     edges = payload.get("edges", [])
-    _require(isinstance(edges, list), f"{path}: 'edges' must be a list")
+    _require(isinstance(edges, list), "{}: 'edges' must be a list", path)
+    sources: list[int] = []
+    targets: list[int] = []
+    bits: list[float] = []
     for edge in edges:
-        _require(isinstance(edge, dict), f"{path}: edges must be objects")
-        source = edge.get("from")
-        target = edge.get("to")
-        for label, value in (("from", source), ("to", target)):
-            _require(
-                isinstance(value, int) and not isinstance(value, bool)
-                and 1 <= value <= n,
-                f"{path}: edge {label} {value!r} outside layer range 1..{n}",
-            )
-        _require(
-            source < target,
-            f"{path}: backward edge {source} -> {target} "
-            f"(edges must point to a later layer)",
+        # Fast path: a well-formed edge needs no message.  Anything else goes
+        # through _checked_edge, which runs the checks in order and reports
+        # the first failure.
+        if type(edge) is dict:
+            source = edge.get("from")
+            target = edge.get("to")
+            value = edge.get("bits")
+            if (
+                type(source) is int
+                and type(target) is int
+                and 1 <= source < target <= n
+                and (type(value) is float or type(value) is int)
+                and 0 <= value <= _MAX_FLOAT
+            ):
+                sources.append(source)
+                targets.append(target)
+                bits.append(float(value))
+                continue
+        source, target, value = _checked_edge(path, edge, n, sources, targets)
+        sources.append(source)
+        targets.append(target)
+        bits.append(value)
+    try:
+        return FfnnModel(
+            layers=tuple(layers),
+            src=np.array(sources, dtype=np.intp) - 1,
+            dst=np.array(targets, dtype=np.intp) - 1,
+            bits=np.array(bits, dtype=np.float64),
         )
+    except ValueError:
+        # Every index is in range, so a repeated pair is the likely cause.
+        _reject_repeats(path, sources, targets)
+        raise
+
+
+def _checked_edge(
+    path: str | Path, edge: object, n: int, sources: list[int], targets: list[int]
+) -> tuple[int, int, float]:
+    """Check one edge against the edges before it; raise on the first failure.
+
+    An earlier repeated pair is reported first, since a scan in file order
+    would have met it before this edge.
+    """
+    _reject_repeats(path, sources, targets)
+    _require(isinstance(edge, dict), "{}: edges must be objects", path)
+    source = edge.get("from")
+    target = edge.get("to")
+    for label, value in (("from", source), ("to", target)):
         _require(
-            traffic[source - 1][target - 1] == 0.0,
-            f"{path}: duplicate edge {source} -> {target}",
+            isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n,
+            "{}: edge {} {!r} outside layer range 1..{}", path, label, value, n,
         )
-        bits = _number(edge.get("bits"), f"{path}: edge {source} -> {target} bits")
-        _require(bits >= 0.0, f"{path}: edge {source} -> {target} bits must be >= 0")
-        traffic[source - 1][target - 1] = bits
-    return FfnnModel(layers=tuple(layers), traffic=traffic)
+    _require(
+        source < target,
+        "{}: backward edge {} -> {} (edges must point to a later layer)", path, source, target,
+    )
+    _require(
+        (source, target) not in zip(sources, targets),
+        "{}: duplicate edge {} -> {}", path, source, target,
+    )
+    bits = _number(edge.get("bits"), "{}: edge {} -> {} bits", path, source, target)
+    _require(bits >= 0.0, "{}: edge {} -> {} bits must be >= 0", path, source, target)
+    return source, target, bits
+
+
+def _reject_repeats(path: str | Path, sources: list[int], targets: list[int]) -> None:
+    """Report the first edge whose (from, to) pair came earlier in the file."""
+    seen: set[tuple[int, int]] = set()
+    for pair in zip(sources, targets):
+        _require(pair not in seen, "{}: duplicate edge {} -> {}", path, *pair)
+        seen.add(pair)
 
 
 def save_chain(chain: DeviceChain, path: str | Path) -> None:
@@ -369,26 +438,24 @@ def save_chain(chain: DeviceChain, path: str | Path) -> None:
 def load_chain(path: str | Path) -> DeviceChain:
     """Read a canonical chain file; inverse of :func:`save_chain`."""
     payload = _read_json(path)
-    _require(isinstance(payload, dict), f"{path}: top level must be an object")
+    _require(isinstance(payload, dict), "{}: top level must be an object", path)
     rows = payload.get("devices")
-    _require(
-        isinstance(rows, list) and rows, f"{path}: 'devices' must be a non-empty list"
-    )
+    _require(isinstance(rows, list) and rows, "{}: 'devices' must be a non-empty list", path)
     devices = []
     for position, row in enumerate(rows, start=1):
-        _require(isinstance(row, dict), f"{path}: device {position} must be an object")
+        _require(isinstance(row, dict), "{}: device {} must be an object", path, position)
         devices.append(
             (
-                _number(row.get("cpu_capacity"), f"{path}: device {position} cpu_capacity"),
-                _number(row.get("mem_capacity"), f"{path}: device {position} mem_capacity"),
+                _number(row.get("cpu_capacity"), "{}: device {} cpu_capacity", path, position),
+                _number(row.get("mem_capacity"), "{}: device {} mem_capacity", path, position),
             )
         )
     links = payload.get("links")
-    _require(isinstance(links, list), f"{path}: 'links' must be a list")
+    _require(isinstance(links, list), "{}: 'links' must be a list", path)
     rates = []
     for position, row in enumerate(links, start=1):
-        _require(isinstance(row, dict), f"{path}: link {position} must be an object")
-        rates.append(_number(row.get("rate"), f"{path}: link {position} rate"))
+        _require(isinstance(row, dict), "{}: link {} must be an object", path, position)
+        rates.append(_number(row.get("rate"), "{}: link {} rate", path, position))
     try:
         return DeviceChain(
             devices=tuple(Device(cpu, mem) for cpu, mem in devices),

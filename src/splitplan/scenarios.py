@@ -115,13 +115,14 @@ def generate_random_model(
         LayerProfile(index=i + 1, cpu_cost=1.0, mem_cost=float(mem[i]))
         for i in range(n)
     )
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    skips = (rng.random((n, n)) < skip_prob) & (cols > rows + 1)
-    traffic = np.where(skips, np.broadcast_to(mem[:, None], (n, n)), 0.0)
-    if n > 1:
-        traffic[np.arange(n - 1), np.arange(1, n)] = mem[:-1]
-    return FfnnModel(layers=layers, traffic=traffic)
+    # One (n, n) draw keeps the random stream as it has always been; only
+    # the cells two or more places right of the diagonal can hold a skip.
+    edges = rng.random((n, n)) < skip_prob
+    positions = np.arange(n)
+    edges &= positions[None, :] > positions[:, None] + 1
+    edges[positions[:-1], positions[1:]] = True
+    src, dst = np.nonzero(edges)  # row-major, as the model keeps them
+    return FfnnModel(layers=layers, src=src, dst=dst, bits=mem[src])
 
 
 def generate_device_chain(num_devices: int, model: FfnnModel) -> DeviceChain:

@@ -4,9 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from splitplan import scenarios
 from splitplan.cli import main
 from splitplan.cost import objective
 from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
@@ -31,6 +31,10 @@ def write_sweep_config(tmp_path, **overrides):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("no worker pool may start")
 
 
 def rows_without_times(csv_text):
@@ -163,7 +167,7 @@ class TestFootprint:
 
     def test_unsplittable_model_exits_one(self, capsys, tmp_path):
         layers = (LayerProfile(index=1, cpu_cost=1.0, mem_cost=1.0),)
-        model = FfnnModel(layers=layers, traffic=np.zeros((1, 1)))
+        model = FfnnModel(layers=layers)
         chain = DeviceChain(
             devices=(Device(1.0, 0.25), Device(1.0, 0.25)), link_rate=(1.0,)
         )
@@ -349,6 +353,55 @@ class TestExperiment:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"threads": "2"}, "threads"),
+            ({"threads": True}, "threads"),
+            ({"num_layers": [True]}, "num_layers"),
+            ({"num_layers": [8.5]}, "num_layers"),
+            ({"num_devices": [2.5]}, "num_devices"),
+            ({"num_devices": ["3"]}, "num_devices"),
+            ({"skip_probs": ["0.5"]}, "skip_probs"),
+            ({"skip_probs": [True]}, "skip_probs"),
+            ({"skip_probs": [1.5]}, "skip_probs"),
+            ({"skip_probs": [-0.25]}, "skip_probs"),
+            ({"skip_probs": [float("nan")]}, "skip_probs"),
+            ({"iterations": True}, "iterations"),
+            ({"seed": 1.0}, "seed"),
+        ],
+    )
+    def test_mistyped_config_fields_exit_two(self, tmp_path, capsys, monkeypatch, overrides, field):
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", refuse_pool)
+        config = write_sweep_config(tmp_path, **overrides)
+        code = main(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source", ["config", "option", "environment"])
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1, 5000])
+    def test_threads_outside_the_cpu_count_exit_two_before_any_pool(
+        self, tmp_path, capsys, monkeypatch, source, threads
+    ):
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", refuse_pool)
+        argv = []
+        if source == "config":
+            config = write_sweep_config(tmp_path, threads=threads)
+        else:
+            config = write_sweep_config(tmp_path)
+        if source == "option":
+            argv = ["--threads", str(threads)]
+        if source == "environment":
+            monkeypatch.setenv("SPLITPLAN_THREADS", str(threads))
+        code = main(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "x.csv"), *argv]
+        )
+        assert code == 2
+        assert f"threads must be in 1..{os.cpu_count() or 1}" in capsys.readouterr().err
 
     def test_config_must_be_json(self, tmp_path, capsys):
         config = tmp_path / "broken.json"

@@ -20,7 +20,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
         LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
         for i in range(n)
     )
-    return FfnnModel(layers=layers, traffic=traffic)
+    return FfnnModel.from_matrix(layers, traffic)
 
 
 def make_chain(capacities, rates):
@@ -74,6 +74,26 @@ class TestCutTraffic:
             assert table[0] == 0.0
             for p in range(1, n + 1):
                 expected = brute_force_cut(dense, p)
+                assert math.isclose(table[p], expected, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_table_from_unsorted_edge_sets_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(4417)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            count = int(rng.integers(0, len(pairs) + 1))
+            chosen = rng.permutation(len(pairs))[:count]  # random, unsorted order
+            src = [pairs[k][0] for k in chosen]
+            dst = [pairs[k][1] for k in chosen]
+            bits = rng.random(count)
+            layers = tuple(
+                LayerProfile(index=i + 1, cpu_cost=1.0, mem_cost=0.5) for i in range(n)
+            )
+            table = cut_traffic_table(FfnnModel(layers=layers, src=src, dst=dst, bits=bits))
+            for p in range(n + 1):
+                expected = sum(
+                    b for i, j, b in zip(src, dst, bits) if i + 1 <= p < j + 1
+                )
                 assert math.isclose(table[p], expected, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_table_is_built_once_per_model_and_read_only(self):

@@ -17,7 +17,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
         LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
         for i in range(n)
     )
-    return FfnnModel(layers=layers, traffic=traffic)
+    return FfnnModel.from_matrix(layers, traffic)
 
 
 def make_chain(capacities, rates):

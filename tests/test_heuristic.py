@@ -4,6 +4,7 @@ import pytest
 from splitplan import exact, heuristic
 from splitplan.cost import is_feasible
 from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile
+from traffic_views import dense_traffic
 
 
 def make_model(mem_costs, traffic, cpu_costs=None):
@@ -14,7 +15,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
         LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
         for i in range(n)
     )
-    return FfnnModel(layers=layers, traffic=traffic)
+    return FfnnModel.from_matrix(layers, traffic)
 
 
 def make_chain(capacities, rates):
@@ -36,7 +37,7 @@ def reference_rescan(model, chain, num_splits):
     n = model.num_layers
     cpu = [layer.cpu_cost for layer in model.layers]
     mem = [layer.mem_cost for layer in model.layers]
-    traffic = model.traffic.tolist()
+    traffic = dense_traffic(model).tolist()
     cut = [0.0] + [brute_cut(traffic, p) for p in range(1, n + 1)]
     committed = []
     device = 1

@@ -25,7 +25,7 @@ def make_model(mem_costs, traffic=None, cpu_costs=None):
     )
     if traffic is None:
         traffic = np.zeros((n, n))
-    return FfnnModel(layers=layers, traffic=traffic)
+    return FfnnModel.from_matrix(layers, traffic)
 
 
 class TestSplitSolution:
@@ -90,9 +90,10 @@ class TestPartition:
 
 class TestFfnnModel:
     def test_traffic_is_read_only(self):
-        model = make_model([0.5, 0.5])
-        with pytest.raises(ValueError):
-            model.traffic[0][1] = 3.0
+        model = make_model([0.5, 0.5], traffic=[[0, 1], [0, 0]])
+        for array in (model.src, model.dst, model.bits):
+            with pytest.raises(ValueError):
+                array[0] = 3
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -109,6 +110,81 @@ class TestFfnnModel:
         model = make_model([0.25, 0.75], cpu_costs=[0.5, 1.0])
         assert model.cpu_costs().tolist() == [0.5, 1.0]
         assert model.mem_costs().tolist() == [0.25, 0.75]
+
+    def test_prefix_sums_are_cached_left_to_right_sums(self):
+        cpu = [0.1, 0.2, 0.3, 0.7]
+        mem = [0.3, 0.1, 0.6, 0.2]
+        model = make_model(mem, cpu_costs=cpu)
+        assert model.prefix_cpu is model.prefix_cpu
+        running = 0.0
+        for p in range(1, 5):
+            running += cpu[p - 1]
+            assert model.prefix_cpu[p] == running
+        assert model.prefix_mem.tolist() == [0.0, 0.3, 0.4, 1.0, 1.2]
+        with pytest.raises(ValueError):
+            model.prefix_mem[1] = 0.0
+
+
+class TestEdgeArrays:
+    LAYERS = tuple(LayerProfile(index=i + 1, cpu_cost=0.5, mem_cost=0.5) for i in range(4))
+
+    def test_edges_are_sorted_row_major_and_zeros_dropped(self):
+        nan = float("nan")
+        model = FfnnModel(
+            layers=self.LAYERS,
+            src=[2, 0, 1, 0, 0, 1, 3],
+            dst=[3, 3, 2, 1, 2, 3, 0],
+            bits=[5.0, 4.0, -0.0, 1.0, 0.0, nan, 2.0],
+        )
+        assert model.src.tolist() == [0, 0, 1, 2, 3]
+        assert model.dst.tolist() == [1, 3, 3, 3, 0]
+        assert model.bits[[0, 1, 3, 4]].tolist() == [1.0, 4.0, 5.0, 2.0]
+        assert np.isnan(model.bits[2])
+
+    def test_edge_order_does_not_change_the_model(self):
+        a = FfnnModel(layers=self.LAYERS, src=[0, 1, 0], dst=[1, 3, 2], bits=[1.0, 2.0, 3.0])
+        b = FfnnModel(layers=self.LAYERS, src=[1, 0, 0], dst=[3, 2, 1], bits=[2.0, 3.0, 1.0])
+        matrix = np.zeros((4, 4))
+        matrix[0, 1], matrix[1, 3], matrix[0, 2] = 1.0, 2.0, 3.0
+        assert a == b == FfnnModel.from_matrix(self.LAYERS, matrix)
+
+    def test_inputs_are_copied(self):
+        bits = np.array([1.0, 2.0])
+        model = FfnnModel(layers=self.LAYERS, src=[0, 1], dst=[1, 2], bits=bits)
+        bits[0] = 9.0
+        assert model.bits.tolist() == [1.0, 2.0]
+
+    def test_no_edges_means_no_traffic(self):
+        model = FfnnModel(layers=self.LAYERS)
+        assert model.cut_table.tolist() == [0.0] * 5
+        assert validate_model(model).ok
+
+    @pytest.mark.parametrize(
+        "src, dst, match",
+        [
+            ([0, 1, 0], [1, 2, 1], "duplicate edge"),
+            ([0, 2, 2], [1, 3, 3], "duplicate edge"),
+            ([0, 4], [1, 2], "outside 0..3"),
+            ([0, 1], [1, 4], "outside 0..3"),
+            ([0, -1], [1, 2], "outside 0..3"),
+            ([0, 1], [-3, 2], "outside 0..3"),
+        ],
+    )
+    def test_structural_errors_raise(self, src, dst, match):
+        with pytest.raises(ValueError, match=match):
+            FfnnModel(layers=self.LAYERS, src=src, dst=dst, bits=[1.0] * len(src))
+
+    def test_a_duplicate_is_an_error_even_with_zero_bits(self):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            FfnnModel(layers=self.LAYERS, src=[0, 0], dst=[1, 1], bits=[0.0, 1.0])
+
+    def test_mismatched_or_non_integer_arrays_raise(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            FfnnModel(layers=self.LAYERS, src=[0, 1], dst=[1], bits=[1.0, 1.0])
+        with pytest.raises(ValueError, match="integers"):
+            FfnnModel(layers=self.LAYERS, src=[0.0], dst=[1], bits=[1.0])
+        with pytest.raises(ValueError, match="integers"):
+            FfnnModel(layers=self.LAYERS, src=[0], dst=[True], bits=[1.0])
 
 
 class TestValidateModel:
@@ -169,7 +245,7 @@ class TestValidateModel:
             LayerProfile(index=1, cpu_cost=1.0, mem_cost=0.5),
             LayerProfile(index=3, cpu_cost=1.0, mem_cost=0.5),
         )
-        report = validate_model(FfnnModel(layers=layers, traffic=np.zeros((2, 2))))
+        report = validate_model(FfnnModel(layers=layers))
         assert "layer at position 2 carries index 3" in report.violations
 
 

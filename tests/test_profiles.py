@@ -1,8 +1,12 @@
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splitplan.cost import cut_traffic_table
 from splitplan.model import validate_model
 from splitplan.profiles import (
     NormalizationFactors,
@@ -18,6 +22,9 @@ from splitplan.profiles import (
     save_model,
 )
 from splitplan.scenarios import generate_device_chain, generate_random_model, iteration_rng
+from traffic_views import dense_traffic
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_profile(tmp_path, layers, version=1, name="profile.json"):
@@ -167,8 +174,8 @@ class TestNormalize:
 
     def test_derive_edges_carry_the_normalized_source_footprint(self):
         model, _, _ = normalize(self.chain3(), [(600.0, 1000.0)], [])
-        assert model.traffic[0][1] == model.layers[0].mem_cost
-        assert model.traffic[1][2] == model.layers[1].mem_cost
+        assert dense_traffic(model)[0][1] == model.layers[0].mem_cost
+        assert dense_traffic(model)[1][2] == model.layers[1].mem_cost
 
     def test_explicit_bits_divide_by_the_memory_factor(self):
         raw = [
@@ -178,7 +185,7 @@ class TestNormalize:
             RawLayerProfile(name="b", trainable_params=300),
         ]
         model, _, _ = normalize(raw, [(600.0, 1000.0)], [])
-        assert model.traffic[0][1] == 0.25
+        assert dense_traffic(model)[0][1] == 0.25
 
     def test_normalized_model_validates(self):
         model, _, _ = normalize(
@@ -242,6 +249,67 @@ class TestCanonicalFiles:
         assert loaded == model
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", ["chain10", "skipnet20"])
+    def test_bundled_models_save_back_to_the_same_bytes(self, tmp_path, name):
+        source = REPO_ROOT / "profiles" / f"{name}.model.json"
+        saved = tmp_path / "saved.json"
+        save_model(load_model(source), saved)
+        assert saved.read_bytes() == source.read_bytes()
+
+    def test_unsorted_edges_save_in_row_major_order(self, tmp_path):
+        edges = [
+            {"from": 2, "to": 4, "bits": 0.5},
+            {"from": 1, "to": 3, "bits": 0.25},
+            {"from": 3, "to": 4, "bits": 0.0},  # a zero edge is no edge
+            {"from": 1, "to": 2, "bits": 1.5},
+            {"from": 2, "to": 3, "bits": 2},
+        ]
+        layers = [{"name": f"l{i}", "cpu_cost": 0.5, "mem_cost": 0.25} for i in range(4)]
+        unsorted = tmp_path / "unsorted.json"
+        unsorted.write_text(json.dumps({"version": 1, "layers": layers, "edges": edges}))
+        saved = tmp_path / "saved.json"
+        save_model(load_model(unsorted), saved)
+        canonical = {
+            "version": 1,
+            "layers": layers,
+            "edges": [
+                {"from": 1, "to": 2, "bits": 1.5},
+                {"from": 1, "to": 3, "bits": 0.25},
+                {"from": 2, "to": 3, "bits": 2.0},
+                {"from": 2, "to": 4, "bits": 0.5},
+            ],
+        }
+        expected = json.dumps(canonical, indent=2, sort_keys=True) + "\n"
+        assert saved.read_text(encoding="utf-8") == expected
+        again = tmp_path / "again.json"
+        save_model(load_model(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_large_sparse_model_needs_no_dense_matrix(self, tmp_path):
+        # 5,000 layers with about four edges each: a dense float matrix alone
+        # would take 200 MB.  Loading, validating and building the cut table
+        # must stay far below that.
+        n = 5000
+        rng = np.random.default_rng(5000)
+        edges = []
+        for i in range(1, n):
+            targets = {i + 1} | {int(t) for t in rng.integers(i + 1, n + 1, size=3)}
+            edges.extend({"from": i, "to": t, "bits": 0.001 * t} for t in sorted(targets))
+        layers = [{"name": None, "cpu_cost": 0.0001, "mem_cost": 0.0001}] * n
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"version": 1, "layers": layers, "edges": edges}))
+        del edges, layers
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            assert validate_model(model).ok
+            table = cut_traffic_table(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n + 1 and table[-1] == 0.0
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_chain_round_trip_is_bit_identical(self, tmp_path):
         model = generate_random_model(9, 0.25, iteration_rng(21, 1))
@@ -324,6 +392,53 @@ class TestCanonicalFiles:
             )
         )
         with pytest.raises(ProfileFormatError, match="duplicate edge"):
+            load_model(path)
+
+    # Each bad edge follows a valid one, so the check must reach it; the
+    # message is pinned in full, path prefix included.
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (["not", "an", "object"], "edges must be objects"),
+            ({"from": 0, "to": 2, "bits": 0.5}, "edge from 0 outside layer range 1..3"),
+            ({"from": 1, "to": 4, "bits": 0.5}, "edge to 4 outside layer range 1..3"),
+            ({"from": True, "to": 2, "bits": 0.5}, "edge from True outside layer range 1..3"),
+            ({"from": 1, "to": False, "bits": 0.5}, "edge to False outside layer range 1..3"),
+            ({"from": 1, "to": "2", "bits": 0.5}, "edge to '2' outside layer range 1..3"),
+            (
+                {"from": 3, "to": 1, "bits": 0.5},
+                "backward edge 3 -> 1 (edges must point to a later layer)",
+            ),
+            (
+                {"from": 2, "to": 2, "bits": 0.5},
+                "backward edge 2 -> 2 (edges must point to a later layer)",
+            ),
+            ({"from": 1, "to": 2, "bits": 0.25}, "duplicate edge 1 -> 2"),
+            (
+                {"from": 2, "to": 3, "bits": "0.5"},
+                "edge 2 -> 3 bits must be a number, got '0.5'",
+            ),
+            ({"from": 2, "to": 3}, "edge 2 -> 3 bits must be a number, got None"),
+            ({"from": 2, "to": 3, "bits": True}, "edge 2 -> 3 bits must be a number, got True"),
+            (
+                {"from": 2, "to": 3, "bits": float("nan")},
+                "edge 2 -> 3 bits must be finite, got nan",
+            ),
+            ({"from": 2, "to": 3, "bits": -0.5}, "edge 2 -> 3 bits must be >= 0"),
+        ],
+    )
+    def test_load_model_rejection_messages(self, tmp_path, edge, message):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "layers": [{"name": None, "cpu_cost": 0.5, "mem_cost": 0.5}] * 3,
+                    "edges": [{"from": 1, "to": 2, "bits": 0.5}, edge],
+                }
+            )
+        )
+        with pytest.raises(ProfileFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(path)
 
     def test_load_model_rejects_wrong_version(self, tmp_path):

@@ -11,6 +11,7 @@ from splitplan.scenarios import (
     iteration_rng,
     run_cost_difference_sweep,
 )
+from traffic_views import dense_traffic
 
 
 def test_iteration_rng_is_a_pure_function_of_the_pair():
@@ -31,29 +32,49 @@ class TestGenerateRandomModel:
         mem = model.mem_costs()
         expected = np.zeros((6, 6))
         expected[np.arange(5), np.arange(1, 6)] = mem[:-1]
-        assert np.array_equal(model.traffic, expected)
+        assert np.array_equal(dense_traffic(model), expected)
 
     def test_probability_one_fills_every_forward_pair(self):
         model = generate_random_model(4, 1.0, iteration_rng(1, 1))
         mem = model.mem_costs()
+        traffic = dense_traffic(model)
         for i in range(4):
             for j in range(4):
                 expected = mem[i] if j > i else 0.0
-                assert model.traffic[i][j] == expected
+                assert traffic[i][j] == expected
 
     def test_skip_edges_carry_the_source_memory_cost(self):
         model = generate_random_model(12, 0.5, iteration_rng(9, 3))
         mem = model.mem_costs()
-        nonzero = np.argwhere(model.traffic > 0)
+        traffic = dense_traffic(model)
+        nonzero = np.argwhere(traffic > 0)
         assert len(nonzero) > 11, "expected at least one skip besides the chain"
         for i, j in nonzero:
             assert j > i
-            assert model.traffic[i][j] == mem[i]
+            assert traffic[i][j] == mem[i]
+
+    def test_edges_match_a_dense_draw_and_leave_the_stream_in_step(self):
+        # The generator still draws one (n, n) block, so a dense construction
+        # from the same stream gives the same traffic and the stream stays in
+        # step afterwards: sweep results do not depend on the storage.
+        for index in range(40):
+            n = 1 + index % 17
+            skip_prob = (index % 5) / 4
+            ours = iteration_rng(3, index)
+            reference = iteration_rng(3, index)
+            model = generate_random_model(n, skip_prob, ours)
+            mem = 1.0 - reference.random(n) * 0.99
+            rows, cols = np.indices((n, n))
+            skips = (reference.random((n, n)) < skip_prob) & (cols > rows + 1)
+            expected = np.where(skips, mem[:, None], 0.0)
+            expected[np.arange(n - 1), np.arange(1, n)] = mem[:-1]
+            assert np.array_equal(dense_traffic(model), expected)
+            assert ours.random() == reference.random()
 
     def test_adjacent_edges_always_present(self):
         for index in range(20):
             model = generate_random_model(9, 0.25, iteration_rng(5, index))
-            diagonal = model.traffic[np.arange(8), np.arange(1, 9)]
+            diagonal = dense_traffic(model)[np.arange(8), np.arange(1, 9)]
             assert np.array_equal(diagonal, model.mem_costs()[:-1])
 
     def test_cost_ranges(self):
@@ -80,7 +101,7 @@ class TestGenerateRandomModel:
     def test_single_layer_model_has_no_traffic(self):
         model = generate_random_model(1, 1.0, iteration_rng(0, 0))
         assert model.num_layers == 1
-        assert np.all(model.traffic == 0.0)
+        assert np.all(dense_traffic(model) == 0.0)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_rejects_bad_skip_probability(self, bad):
@@ -135,7 +156,9 @@ class TestFootprintStats:
                 layer.__class__(index=layer.index, cpu_cost=1.0, mem_cost=0.5)
                 for layer in model.layers
             ),
-            traffic=model.traffic,
+            src=model.src,
+            dst=model.dst,
+            bits=model.bits,
         )
         stats = footprint_stats(equal, SplitSolution(points=(1, 2)))
         assert stats.mem_shares == (0.5, 0.5)
@@ -159,7 +182,7 @@ class TestFootprintStats:
             LayerProfile(index=2, cpu_cost=0.5, mem_cost=0.25),
             LayerProfile(index=3, cpu_cost=0.5, mem_cost=0.5),
         )
-        model = FfnnModel(layers=layers, traffic=np.zeros((3, 3)))
+        model = FfnnModel(layers=layers)
         stats = footprint_stats(model, SplitSolution(points=(2, 3)))
         assert stats.mem_shares == (0.5, 0.5)
         assert stats.cpu_shares == (0.75, 0.25)
@@ -190,7 +213,7 @@ def test_chain_only_traffic_objective_matches_direct_formula():
         points = sorted(rng.choice(range(1, 9), size=2, replace=False))
         solution = SplitSolution(points=(*map(int, points), 9))
         direct = sum(
-            model.traffic[p - 1][p] / chain.link_rate[0] for p in solution.points[:-1]
+            dense_traffic(model)[p - 1][p] / chain.link_rate[0] for p in solution.points[:-1]
         )
         assert objective(model, chain, solution).total == pytest.approx(direct)
 

@@ -17,7 +17,6 @@ from . import cost, exact, heuristic, model, profiles, scenarios, svgplot
 from .cost import (
     CostBreakdown,
     FeasibilityResult,
-    cut_traffic,
     cut_traffic_table,
     is_feasible,
     objective,
@@ -78,7 +77,6 @@ __all__ = [
     "SplitSolution",
     "ValidationReport",
     "cost",
-    "cut_traffic",
     "cut_traffic_table",
     "exact",
     "footprint_stats",

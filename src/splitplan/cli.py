@@ -4,7 +4,8 @@
 by the greedy or exact solver (or both, with their cost difference).
 ``experiment`` runs the Monte Carlo sweep described by a JSON config file
 and writes a CSV table, optionally rendered to SVG.  ``footprint`` prints
-the per-device resource shares of the greedy plan.  ``validate`` checks
+the greedy plan's report, the same one ``plan --solver heuristic`` prints,
+per-device resource shares included.  ``validate`` checks
 model and chain files and reports violations without planning anything.
 
 Exit codes: 0 on success, 1 when no feasible split exists, 2 for unreadable

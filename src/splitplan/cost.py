@@ -6,8 +6,9 @@ behind the hosting device.  All boundaries' totals come from one cut table,
 built in O(n + E) from the model's edge arrays and cached on the model.  The
 planning objective is the total transfer time: for a split solution ``x`` it
 is the sum over the first ``kappa - 1`` points of
-``cut_traffic(x_t) / link_rate[t]``.  The final point ends the model, so
-nothing is forwarded there and the return trip of the output is not counted.
+``cut_traffic_table(model)[x_t] / link_rate[t]``.  The final point ends the
+model, so nothing is forwarded there and the return trip of the output is
+not counted.
 
 A split is feasible when every device can host its block: the block's summed
 cpu cost and its summed memory cost each stay within the device's capacity
@@ -54,15 +55,6 @@ def cut_traffic_table(model: FfnnModel) -> np.ndarray:
     (see ``FfnnModel.cut_table``); later calls return the same array.
     """
     return model.cut_table
-
-
-def cut_traffic(model: FfnnModel, boundary: int) -> float:
-    """Bits crossing a single split placed after layer ``boundary`` (1-based)."""
-    if not 1 <= boundary <= model.num_layers:
-        raise ValueError(
-            f"boundary {boundary} outside layer range 1..{model.num_layers}"
-        )
-    return float(cut_traffic_table(model)[boundary])
 
 
 def objective(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> CostBreakdown:

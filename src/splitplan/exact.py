@@ -71,7 +71,7 @@ def _optimal_points(
 
     ``best[p]`` after the step for device ``t`` is the cheapest way to place
     layers ``1..p`` on devices ``1..t`` with the t-th split at ``p``; moving
-    from split ``q`` on device ``t-1`` costs ``cut_traffic(q) /
+    from split ``q`` on device ``t-1`` costs ``cut_table[q] /
     link_rate[t-1]`` and requires block ``q+1..p`` to fit device ``t``: its
     summed cpu and memory costs both stay within the device's capacities.
     Cost ties pick the smaller ``q``.  The window of admissible ``q`` for

@@ -1,7 +1,7 @@
 """Greedy split planner with cheapest-cut backtracking.
 
-``solve_fixed_splits`` fills devices in chain order: layers are accepted onto
-the current device while its summed cpu and memory loads stay within its
+The greedy scan fills devices in chain order: layers are accepted onto the
+current device while its summed cpu and memory loads stay within its
 capacities, and the boundary cost of every accepted position is remembered.
 When a layer no longer fits, the split for the current device is committed
 at the recorded position with the cheapest boundary traffic (ties pick the
@@ -9,11 +9,18 @@ latest position), and the layers accepted after that position move to the
 next device, which re-checks them against its own capacities; if they
 overflow it the commit-and-move step cascades down the chain.  The scan
 pointer never moves backwards, so the loop body runs at most
-``num_layers + num_splits - 1`` times per attempt.
+``num_layers + num_splits - 1`` times per scan.
 
-``solve`` tries one partition, then two, and so on, returning the first
-attempt that places every layer; smaller partition counts are preferred
-because every extra boundary can only add transfer time.
+``solve_fixed_splits`` runs the scan with at most ``num_splits`` devices.
+``solve`` prefers the smallest partition count whose scan places every
+layer, because every extra boundary can only add transfer time.  A scan
+limited to ``k`` devices runs exactly like an unlimited one until it first
+needs device ``k + 1``, and stops there.  So ``solve`` scans once at the
+largest usable count and records the iteration at which each further device
+was first needed.  The first count whose scan succeeds is the number of
+devices that one scan used, and its plan is that scan's plan.  The recorded
+iterations are each smaller count's iterations, so the trace still reports
+every count ``1, 2, ...`` as if each had been scanned on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class FixedSplitAttempt:
 
 @dataclass(frozen=True)
 class HeuristicTrace:
-    """Instrumentation across attempts: loop iterations per partition count."""
+    """Loop iterations of the scan limited to each partition count tried."""
 
     kappa_attempted: tuple[int, ...]
     while_iterations: tuple[int, ...]
@@ -66,25 +73,19 @@ def total_iteration_budget(num_layers: int, max_splits: int) -> int:
     return (max_splits * max_splits + (2 * num_layers - 1) * max_splits) // 2
 
 
-def solve_fixed_splits(
+def _scan(
     model: FfnnModel, chain: DeviceChain, num_splits: int
-) -> FixedSplitAttempt:
-    """Greedily place all layers on at most ``num_splits`` devices.
+) -> tuple[tuple[int, ...] | None, int, list[int]]:
+    """The greedy scan on at most ``num_splits`` devices.
 
-    Returns the splitting points (always ending at the last layer) or None
-    when the greedy scan runs out of devices, plus the loop iteration count.
-    The solution may use fewer than ``num_splits`` partitions when the tail
-    devices are never needed.
+    Returns the splitting points (None when the scan runs out of devices),
+    the loop iteration count, and ``needed``: ``needed[k - 1]`` is the
+    iteration count at which the scan first needed device ``k + 1``, which
+    is where the same scan limited to ``k`` devices stops.
     """
-    limit = max_split_count(model, chain)
-    if not 1 <= num_splits <= limit:
-        raise ValueError(
-            f"num_splits {num_splits} outside 1..{limit} "
-            f"({model.num_layers} layers, {chain.num_devices} devices)"
-        )
     n = model.num_layers
     # Plain lists index faster than arrays in the scan below; the model
-    # builds each array once, so an attempt only copies them out.
+    # builds each array once, so a scan only copies them out.
     cpu = model.cpu_costs().tolist()
     mem = model.mem_costs().tolist()
     prefix_cpu = model.prefix_cpu.tolist()
@@ -94,6 +95,7 @@ def solve_fixed_splits(
     mem_cap = [d.mem_capacity for d in chain.devices]
 
     committed: list[int] = []
+    needed: list[int] = []
     device = 1  # 1-based index of the device being filled
     block_start = 1  # first layer of that device's block
     accepted = 0  # last layer accepted on it (0 = none yet)
@@ -101,9 +103,6 @@ def solve_fixed_splits(
     mem_load = 0.0  # its running memory load
     layer = 1
     iterations = 0
-
-    def fail() -> FixedSplitAttempt:
-        return FixedSplitAttempt(solution=None, iterations=iterations)
 
     while layer <= n:
         iterations += 1
@@ -119,12 +118,13 @@ def solve_fixed_splits(
         # The layer does not fit: commit a split for this device and move the
         # overhang to the next one, cascading while the overhang overflows.
         while True:
+            needed.append(iterations)
             if device + 1 > num_splits:
-                return fail()
+                return None, iterations, needed
             if accepted < block_start:
                 # Nothing was ever accepted here; committing now would leave
                 # the device without layers, which no valid split allows.
-                return fail()
+                return None, iterations, needed
             best = block_start
             for p in range(block_start + 1, accepted + 1):
                 if cut[p] <= cut[best]:
@@ -149,43 +149,68 @@ def solve_fixed_splits(
                 break
         # Retry the same layer on the device the cascade settled on.
 
-    if iterations > iteration_budget(n, num_splits):
+    return tuple(committed) + (n,), iterations, needed
+
+
+def _check_budget(iterations: int, num_layers: int, num_splits: int) -> None:
+    if iterations > iteration_budget(num_layers, num_splits):
         raise RuntimeError(
-            f"iteration budget exceeded: {iterations} > {iteration_budget(n, num_splits)}"
+            f"iteration budget exceeded: {iterations} > "
+            f"{iteration_budget(num_layers, num_splits)}"
         )
-    points = tuple(committed) + (n,)
+
+
+def solve_fixed_splits(
+    model: FfnnModel, chain: DeviceChain, num_splits: int
+) -> FixedSplitAttempt:
+    """Greedily place all layers on at most ``num_splits`` devices.
+
+    Returns the splitting points (always ending at the last layer) or None
+    when the greedy scan runs out of devices, plus the loop iteration count.
+    The solution may use fewer than ``num_splits`` partitions when the tail
+    devices are never needed.
+    """
+    limit = max_split_count(model, chain)
+    if not 1 <= num_splits <= limit:
+        raise ValueError(
+            f"num_splits {num_splits} outside 1..{limit} "
+            f"({model.num_layers} layers, {chain.num_devices} devices)"
+        )
+    points, iterations, _ = _scan(model, chain, num_splits)
+    if points is None:
+        return FixedSplitAttempt(solution=None, iterations=iterations)
+    _check_budget(iterations, model.num_layers, num_splits)
     return FixedSplitAttempt(solution=SplitSolution(points=points), iterations=iterations)
 
 
 def solve(
     model: FfnnModel, chain: DeviceChain, max_splits: int | None = None
 ) -> HeuristicResult:
-    """Try increasing partition counts; return the first greedy success."""
+    """Return the greedy plan with the fewest partitions, from one scan."""
     limit = max_split_count(model, chain)
     if max_splits is not None:
         if max_splits < 1:
             raise ValueError(f"max_splits must be >= 1, got {max_splits}")
         limit = min(limit, max_splits)
-    attempted: list[int] = []
-    iteration_counts: list[int] = []
-    for num_splits in range(1, limit + 1):
-        attempt = solve_fixed_splits(model, chain, num_splits)
-        attempted.append(num_splits)
-        iteration_counts.append(attempt.iterations)
-        if attempt.solution is not None:
-            trace = HeuristicTrace(
-                kappa_attempted=tuple(attempted),
-                while_iterations=tuple(iteration_counts),
-                outcome="solution",
-            )
-            return HeuristicResult(
-                solution=attempt.solution,
-                cost=objective(model, chain, attempt.solution),
-                trace=trace,
-            )
+    points, iterations, needed = _scan(model, chain, limit)
+    if points is None:
+        # The count the scan stopped at, and every larger one, stops at the
+        # same iteration.
+        counts = needed + [iterations] * (limit - len(needed))
+        trace = HeuristicTrace(
+            kappa_attempted=tuple(range(1, limit + 1)),
+            while_iterations=tuple(counts),
+            outcome="no-solution",
+        )
+        return HeuristicResult(solution=None, cost=None, trace=trace)
+    kappa = len(points)
+    _check_budget(iterations, model.num_layers, kappa)
+    solution = SplitSolution(points=points)
     trace = HeuristicTrace(
-        kappa_attempted=tuple(attempted),
-        while_iterations=tuple(iteration_counts),
-        outcome="no-solution",
+        kappa_attempted=tuple(range(1, kappa + 1)),
+        while_iterations=tuple(needed) + (iterations,),
+        outcome="solution",
     )
-    return HeuristicResult(solution=None, cost=None, trace=trace)
+    return HeuristicResult(
+        solution=solution, cost=objective(model, chain, solution), trace=trace
+    )

@@ -153,6 +153,18 @@ class FfnnModel:
         """``prefix_mem[p]``: summed memory cost of layers ``1..p``, left to right."""
         return _prefix_sums(self._mem_costs)
 
+    # ``np.add.reduce`` is the reduction ``np.sum`` runs, so the totals
+    # equal ``np.sum`` of the cost arrays bit for bit.
+    @cached_property
+    def cpu_total(self) -> float:
+        """Summed cpu cost of all layers, as ``np.sum`` adds them."""
+        return float(np.add.reduce(self._cpu_costs))
+
+    @cached_property
+    def mem_total(self) -> float:
+        """Summed memory cost of all layers, as ``np.sum`` adds them."""
+        return float(np.add.reduce(self._mem_costs))
+
     def cpu_costs(self) -> np.ndarray:
         """Per-layer cpu costs (read-only, shared)."""
         return self._cpu_costs

@@ -464,18 +464,3 @@ def load_chain(path: str | Path) -> DeviceChain:
     except ValueError as error:
         raise ProfileFormatError(f"{path}: {error}") from error
 
-
-def convert_framework_checkpoint(path: str | Path) -> list[RawLayerProfile]:
-    """Placeholder for extracting a raw profile from a framework checkpoint.
-
-    Extracting model internals is out of scope for this package.  The
-    expected procedure: walk the model's layers in forward order, count each
-    layer's trainable parameters, record the successor edges of the compute
-    graph, and write them in the raw profile format documented in this
-    module.  The repository ships small hand-written profiles instead.
-    """
-    raise NotImplementedError(
-        "checkpoint extraction is out of scope; write a raw profile file "
-        "(see the module docstring) with per-layer trainable-parameter "
-        "counts and successor edges, then use load_profile"
-    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, heuristic
-from .model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution, partition
+from .model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
 
 # A greedy solution may only ever cost at least as much as the optimum;
 # anything below -COST_GAP_TOLERANCE indicates a solver defect.
@@ -133,12 +133,10 @@ def generate_device_chain(num_devices: int, model: FfnnModel) -> DeviceChain:
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-    cpu_total = float(np.sum(model.cpu_costs()))
-    mem_total = float(np.sum(model.mem_costs()))
     devices = tuple(
         Device(
-            cpu_capacity=cpu_total / (num_devices - t + 1),
-            mem_capacity=mem_total / (num_devices - t + 1),
+            cpu_capacity=model.cpu_total / (num_devices - t + 1),
+            mem_capacity=model.mem_total / (num_devices - t + 1),
         )
         for t in range(1, num_devices + 1)
     )
@@ -153,17 +151,26 @@ def footprint_stats(model: FfnnModel, solution: SplitSolution) -> FootprintStats
     the first device: a single-block split yields 0.  A resource whose total
     cost is zero reports all-zero shares.
     """
-    blocks = partition(solution, model.num_layers).subsets
+    points = solution.points
+    if points[-1] != model.num_layers:
+        raise ValueError(
+            f"last splitting point {points[-1]} must equal the layer count "
+            f"{model.num_layers}"
+        )
+    # Each share sums its block's slice with ``np.add.reduce``, the reduction
+    # ``np.sum`` runs; differences of prefix sums would round differently.
+    add = np.add.reduce
     mem = model.mem_costs()
     cpu = model.cpu_costs()
-    mem_total = float(np.sum(mem))
-    cpu_total = float(np.sum(cpu))
+    mem_total = model.mem_total
+    cpu_total = model.cpu_total
     mem_shares = []
     cpu_shares = []
-    for block in blocks:
-        lo, hi = block[0] - 1, block[-1]
-        mem_shares.append(float(np.sum(mem[lo:hi])) / mem_total if mem_total else 0.0)
-        cpu_shares.append(float(np.sum(cpu[lo:hi])) / cpu_total if cpu_total else 0.0)
+    lo = 0
+    for hi in points:
+        mem_shares.append(float(add(mem[lo:hi])) / mem_total if mem_total else 0.0)
+        cpu_shares.append(float(add(cpu[lo:hi])) / cpu_total if cpu_total else 0.0)
+        lo = hi
     return FootprintStats(
         mem_shares=tuple(mem_shares),
         cpu_shares=tuple(cpu_shares),

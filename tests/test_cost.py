@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from splitplan.cost import (
-    cut_traffic,
     cut_traffic_table,
     is_feasible,
     objective,
@@ -50,16 +49,17 @@ THREE_LAYER_TRAFFIC = [
 class TestCutTraffic:
     def test_three_layer_hand_example(self):
         model = make_model([0.5] * 3, THREE_LAYER_TRAFFIC)
-        assert cut_traffic(model, 1) == 6.0
-        assert cut_traffic(model, 2) == 10.0
-        assert cut_traffic(model, 3) == 0.0
+        table = cut_traffic_table(model)
+        assert table[1] == 6.0
+        assert table[2] == 10.0
+        assert table[3] == 0.0
 
     def test_final_boundary_always_zero(self):
         rng = np.random.default_rng(7)
         n = 9
         traffic = np.triu(rng.random((n, n)), k=1)
         model = make_model([0.5] * n, traffic)
-        assert cut_traffic(model, n) == 0.0
+        assert cut_traffic_table(model)[n] == 0.0
 
     def test_table_matches_double_loop_oracle(self):
         rng = np.random.default_rng(991)
@@ -105,13 +105,6 @@ class TestCutTraffic:
             table[1] = 0.0
         # An equal model is a separate object with its own table.
         assert cut_traffic_table(make_model([0.5] * 3, THREE_LAYER_TRAFFIC)) is not table
-
-    def test_rejects_out_of_range_boundary(self):
-        model = make_model([0.5] * 3, THREE_LAYER_TRAFFIC)
-        with pytest.raises(ValueError):
-            cut_traffic(model, 0)
-        with pytest.raises(ValueError):
-            cut_traffic(model, 4)
 
 
 class TestObjective:

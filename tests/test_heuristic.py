@@ -4,6 +4,7 @@ import pytest
 from splitplan import exact, heuristic
 from splitplan.cost import is_feasible
 from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile
+from splitplan.scenarios import generate_device_chain, generate_random_model
 from traffic_views import dense_traffic
 
 
@@ -310,3 +311,117 @@ class TestIterationAccounting:
         got = heuristic.solve(model, chain)
         assert got.solution is None
         assert got.trace.total_iterations <= heuristic.total_iteration_budget(3, 3)
+
+
+def reference_solve(model, chain, max_splits=None):
+    """The per-count loop ``solve`` once ran: one scan per partition count,
+    smallest first, returning the first scan that places every layer."""
+    limit = min(model.num_layers, chain.num_devices)
+    if max_splits is not None:
+        limit = min(limit, max_splits)
+    attempted = []
+    iteration_counts = []
+    for num_splits in range(1, limit + 1):
+        attempt = heuristic.solve_fixed_splits(model, chain, num_splits)
+        attempted.append(num_splits)
+        iteration_counts.append(attempt.iterations)
+        if attempt.solution is not None:
+            trace = heuristic.HeuristicTrace(
+                kappa_attempted=tuple(attempted),
+                while_iterations=tuple(iteration_counts),
+                outcome="solution",
+            )
+            return heuristic.HeuristicResult(
+                solution=attempt.solution,
+                cost=heuristic.objective(model, chain, attempt.solution),
+                trace=trace,
+            )
+    trace = heuristic.HeuristicTrace(
+        kappa_attempted=tuple(attempted),
+        while_iterations=tuple(iteration_counts),
+        outcome="no-solution",
+    )
+    return heuristic.HeuristicResult(solution=None, cost=None, trace=trace)
+
+
+def fractional_instance(rng):
+    """Fractional costs and unsorted random capacities: many greedy failures."""
+    n = int(rng.integers(1, 41))
+    num_devices = int(rng.integers(1, 8))
+    mem = 1.0 - rng.random(n) * 0.99
+    cpu = rng.uniform(0.05, 0.85, n)
+    layers = tuple(
+        LayerProfile(index=i + 1, cpu_cost=float(cpu[i]), mem_cost=float(mem[i]))
+        for i in range(n)
+    )
+    src, dst = np.nonzero(np.triu(rng.random((n, n)) < 0.4, k=1))
+    model = FfnnModel(layers=layers, src=src, dst=dst, bits=rng.random(len(src)))
+    capacities = [
+        (
+            float(rng.uniform(0.4, 4.0) * cpu.sum() / num_devices),
+            float(rng.uniform(0.4, 4.0) * mem.sum() / num_devices),
+        )
+        for _ in range(num_devices)
+    ]
+    rates = [float(rng.uniform(0.25, 2.0)) for _ in range(num_devices - 1)]
+    return model, make_chain(capacities, rates)
+
+
+class TestSingleScanAgainstPerCountReference:
+    """``solve`` scans once; the per-count loop must give the same result.
+
+    3,180 seeded instances (1,680 capacity ladders, 1,500 fractional), each
+    solved without and with a random ``max_splits`` in 1..8."""
+
+    @staticmethod
+    def assert_same(model, chain, max_splits=None):
+        got = heuristic.solve(model, chain, max_splits=max_splits)
+        expected = reference_solve(model, chain, max_splits=max_splits)
+        assert got.solution == expected.solution
+        assert got.trace == expected.trace
+        if expected.cost is None:
+            assert got.cost is None
+        else:
+            assert got.cost.total == expected.cost.total
+        return got
+
+    def test_capacity_ladders(self):
+        outcomes = {"solution": 0, "no-solution": 0}
+        rng = np.random.default_rng(7001)
+        for n in range(1, 41):
+            for num_devices in range(1, 8):
+                for skip in (0.0, 0.5, 1.0):
+                    for _ in range(2):
+                        model = generate_random_model(n, skip, rng)
+                        chain = generate_device_chain(num_devices, model)
+                        for max_splits in (None, int(rng.integers(1, 9))):
+                            got = self.assert_same(model, chain, max_splits)
+                            outcomes[got.trace.outcome] += 1
+        assert sum(outcomes.values()) == 2 * 2 * 40 * 7 * 3
+        assert outcomes["no-solution"] > 50
+
+    def test_fractional_costs_with_random_capacities(self):
+        outcomes = {"solution": 0, "no-solution": 0}
+        kappas = set()
+        rng = np.random.default_rng(7002)
+        for _ in range(1500):
+            model, chain = fractional_instance(rng)
+            for max_splits in (None, int(rng.integers(1, 9))):
+                got = self.assert_same(model, chain, max_splits)
+                outcomes[got.trace.outcome] += 1
+                if got.solution is not None:
+                    kappas.add(got.solution.kappa)
+        assert outcomes["solution"] > 500
+        assert outcomes["no-solution"] > 500
+        assert kappas >= {1, 2, 3, 4}
+
+    def test_a_failed_scan_reports_every_count_up_to_the_limit(self):
+        # Layer 3 overflows device 1 at iteration 3 and device 2 at iteration
+        # 4; device 2 then holds nothing, so the scan stops there, and the
+        # scan limited to 3 devices stops at the same iteration.
+        model = make_model([0.5, 0.5, 0.5], np.zeros((3, 3)))
+        chain = make_chain([(4.0, 1.0), (4.0, 0.25), (4.0, 2.0)], [1.0, 1.0])
+        got = self.assert_same(model, chain)
+        assert got.trace.kappa_attempted == (1, 2, 3)
+        assert got.trace.while_iterations == (3, 4, 4)
+        assert got.trace.outcome == "no-solution"

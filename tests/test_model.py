@@ -124,6 +124,20 @@ class TestFfnnModel:
         with pytest.raises(ValueError):
             model.prefix_mem[1] = 0.0
 
+    def test_cost_totals_are_cached_numpy_sums(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 7, 8, 9, 127, 128, 129, 1000):
+            mem = (1.0 - rng.random(n) * 0.99).tolist()
+            model = make_model(mem, cpu_costs=rng.random(n).tolist())
+            assert "cpu_total" not in vars(model) and "mem_total" not in vars(model)
+            cpu_total, mem_total = model.cpu_total, model.mem_total
+            # Built once: later reads return the very object of the first.
+            assert model.cpu_total is cpu_total
+            assert model.mem_total is mem_total
+            assert type(cpu_total) is float and type(mem_total) is float
+            assert cpu_total == float(np.sum(model.cpu_costs()))
+            assert mem_total == float(np.sum(model.mem_costs()))
+
 
 class TestEdgeArrays:
     LAYERS = tuple(LayerProfile(index=i + 1, cpu_cost=0.5, mem_cost=0.5) for i in range(4))

@@ -13,7 +13,6 @@ from splitplan.profiles import (
     ProfileFormatError,
     RawEdge,
     RawLayerProfile,
-    convert_framework_checkpoint,
     load_chain,
     load_model,
     load_profile,
@@ -476,7 +475,3 @@ class TestCanonicalFiles:
         with pytest.raises(ProfileFormatError, match="links"):
             load_chain(path)
 
-
-def test_checkpoint_conversion_is_explicitly_out_of_scope(tmp_path):
-    with pytest.raises(NotImplementedError, match="raw profile"):
-        convert_framework_checkpoint(tmp_path / "weights.bin")

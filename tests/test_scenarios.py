@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitplan.cost import objective
-from splitplan.model import SplitSolution, validate_model
+from splitplan.model import FfnnModel, LayerProfile, SplitSolution, validate_model
 from splitplan.scenarios import (
     ScenarioConfig,
     footprint_stats,
@@ -12,6 +12,15 @@ from splitplan.scenarios import (
     run_cost_difference_sweep,
 )
 from traffic_views import dense_traffic
+
+
+def random_fractional_model(rng, max_layers=300):
+    n = int(rng.integers(1, max_layers + 1))
+    layers = tuple(
+        LayerProfile(index=i + 1, cpu_cost=float(cpu), mem_cost=float(mem))
+        for i, (cpu, mem) in enumerate(zip(rng.random(n), 1.0 - rng.random(n) * 0.99))
+    )
+    return FfnnModel(layers=layers)
 
 
 def test_iteration_rng_is_a_pure_function_of_the_pair():
@@ -147,6 +156,18 @@ class TestGenerateDeviceChain:
                 float(np.sum(model.mem_costs()))
             )
 
+    def test_capacities_equal_the_numpy_sum_ladder_bit_for_bit(self):
+        rng = np.random.default_rng(1414)
+        for _ in range(200):
+            model = random_fractional_model(rng)
+            num_devices = int(rng.integers(1, 9))
+            chain = generate_device_chain(num_devices, model)
+            cpu_total = float(np.sum(model.cpu_costs()))
+            mem_total = float(np.sum(model.mem_costs()))
+            for t, device in enumerate(chain.devices, start=1):
+                assert device.cpu_capacity == cpu_total / (num_devices - t + 1)
+                assert device.mem_capacity == mem_total / (num_devices - t + 1)
+
 
 class TestFootprintStats:
     def test_two_equal_layers_split_between_two_devices(self):
@@ -175,8 +196,6 @@ class TestFootprintStats:
         assert stats.rho_cpu == 0.0
 
     def test_hand_worked_three_layer_split(self):
-        from splitplan.model import FfnnModel, LayerProfile
-
         layers = (
             LayerProfile(index=1, cpu_cost=1.0, mem_cost=0.25),
             LayerProfile(index=2, cpu_cost=0.5, mem_cost=0.25),
@@ -200,6 +219,29 @@ class TestFootprintStats:
             assert sum(stats.cpu_shares) == pytest.approx(1.0, abs=1e-9)
             assert stats.rho_mem == pytest.approx(1.0 - stats.mem_shares[0])
             assert stats.rho_cpu == pytest.approx(1.0 - stats.cpu_shares[0])
+
+    def test_shares_equal_per_block_numpy_sums_bit_for_bit(self):
+        # Sweep CSVs average these shares; any other summation order (for
+        # example differences of prefix sums) moves their last bits.
+        rng = np.random.default_rng(2718)
+        for _ in range(300):
+            model = random_fractional_model(rng)
+            n = model.num_layers
+            cuts = rng.choice(np.arange(1, n), size=min(n - 1, 6), replace=False)
+            points = (*sorted(map(int, cuts)), n)
+            stats = footprint_stats(model, SplitSolution(points=points))
+            mem, cpu = model.mem_costs(), model.cpu_costs()
+            lo = 0
+            for t, hi in enumerate(points):
+                assert stats.mem_shares[t] == float(np.sum(mem[lo:hi])) / float(np.sum(mem))
+                assert stats.cpu_shares[t] == float(np.sum(cpu[lo:hi])) / float(np.sum(cpu))
+                lo = hi
+
+    @pytest.mark.parametrize("points", [(3,), (2, 4), (1, 6)])
+    def test_rejects_a_last_point_other_than_the_layer_count(self, points):
+        model = generate_random_model(5, 0.5, iteration_rng(4, 2))
+        with pytest.raises(ValueError, match="last splitting point"):
+            footprint_stats(model, SplitSolution(points=points))
 
 
 def test_chain_only_traffic_objective_matches_direct_formula():

@@ -26,7 +26,6 @@ from .model import (
     DeviceChain,
     FfnnModel,
     LayerProfile,
-    PartitionAssignment,
     SplitSolution,
     ValidationReport,
     max_split_count,
@@ -69,7 +68,6 @@ __all__ = [
     "FootprintStats",
     "LayerProfile",
     "NormalizationFactors",
-    "PartitionAssignment",
     "ProfileFormatError",
     "RawEdge",
     "RawLayerProfile",

@@ -102,7 +102,7 @@ def _render_plan_report(model: FfnnModel, chain: DeviceChain, report: PlanReport
             f"reported cost {report.cost.total} does not match "
             f"re-evaluated cost {recomputed}"
         )
-    blocks = partition(report.solution, model.num_layers).subsets
+    blocks = partition(report.solution, model.num_layers)
     lines = [
         f"solver: {report.solver}",
         f"splitting points: {list(report.solution.points)}",

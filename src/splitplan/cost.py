@@ -93,7 +93,7 @@ def is_feasible(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> Feasi
         raise ValueError(
             f"solution uses {x.kappa} devices but the chain has {chain.num_devices}"
         )
-    blocks = partition(x, model.num_layers).subsets
+    blocks = partition(x, model.num_layers)
     for t, block in enumerate(blocks, start=1):
         device = chain.devices[t - 1]
         total_cpu = sum(model.layers[i - 1].cpu_cost for i in block)

@@ -267,13 +267,6 @@ class SplitSolution:
 
 
 @dataclass(frozen=True)
-class PartitionAssignment:
-    """Layer blocks per device; ``subsets[t-1]`` is a 1-based index range."""
-
-    subsets: tuple[range, ...]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...] = ()
     warnings: tuple[str, ...] = field(default=())
@@ -327,22 +320,23 @@ def validate_chain(chain: DeviceChain) -> ValidationReport:
     return ValidationReport(warnings=tuple(warnings))
 
 
-def partition(x: SplitSolution, num_layers: int) -> PartitionAssignment:
+def partition(x: SplitSolution, num_layers: int) -> tuple[range, ...]:
     """Expand splitting points into the per-device layer blocks.
 
-    Device t receives layers ``x_{t-1}+1 .. x_t`` (with ``x_0 = 0``); the
-    blocks are non-empty, disjoint, and cover ``1 .. num_layers`` exactly.
+    Block ``t-1`` is the 1-based layer range device t receives,
+    ``x_{t-1}+1 .. x_t`` (with ``x_0 = 0``); the blocks are non-empty,
+    disjoint, and cover ``1 .. num_layers`` exactly.
     """
     if x.points[-1] != num_layers:
         raise ValueError(
             f"last splitting point {x.points[-1]} must equal the layer count {num_layers}"
         )
-    subsets = []
+    blocks = []
     previous = 0
     for point in x.points:
-        subsets.append(range(previous + 1, point + 1))
+        blocks.append(range(previous + 1, point + 1))
         previous = point
-    return PartitionAssignment(subsets=tuple(subsets))
+    return tuple(blocks)
 
 
 def max_split_count(model: FfnnModel, chain: DeviceChain) -> int:

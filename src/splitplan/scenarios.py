@@ -11,13 +11,16 @@ holds a ``1/d`` fraction; all links share the rate ``1 / (d - 1)``.
 over many such instances and aggregates the cost gap, the failure rate of
 the greedy scan, offload statistics, and solver wall times.  Every iteration
 derives its own RNG from ``(seed, iteration)``, so results do not depend on
-execution order and work can fan out across processes.
+execution order and work can fan out across processes.  The draw does not
+depend on the device count, so cells that differ only in ``num_devices``
+draw each model once and solve it on each cell's ladder.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,11 +182,8 @@ def footprint_stats(model: FfnnModel, solution: SplitSolution) -> FootprintStats
     )
 
 
-def _run_iteration_range(
-    config: ScenarioConfig, start: int, stop: int
-) -> dict[str, list]:
-    """Worker body: run iterations [start, stop) and collect raw outcomes."""
-    out: dict[str, list] = {
+def _empty_outcome() -> dict[str, list]:
+    return {
         "psi_heuristic": [],
         "psi_exact": [],
         "diffs": [],
@@ -195,39 +195,56 @@ def _run_iteration_range(
         "exact_times": [],
         "failures": 0,
     }
+
+
+def _run_iteration_range(
+    cells: tuple[ScenarioConfig, ...], start: int, stop: int
+) -> list[dict[str, list]]:
+    """Worker body: run iterations [start, stop) of one group of cells.
+
+    The cells share ``(num_layers, skip_prob, iterations, seed)``, so each
+    iteration draws one model and solves it on every cell's device chain.
+    Returns one dict of raw outcomes per cell, in the order of ``cells``.
+    """
+    first = cells[0]
+    outs = [_empty_outcome() for _ in cells]
     for index in range(start, stop):
-        rng = iteration_rng(config.seed, index)
-        model = generate_random_model(config.num_layers, config.skip_prob, rng)
-        chain = generate_device_chain(config.num_devices, model)
-        began = time.perf_counter()
-        greedy = heuristic.solve(model, chain)
-        out["heuristic_times"].append(time.perf_counter() - began)
-        began = time.perf_counter()
-        optimal = exact.solve(model, chain)
-        out["exact_times"].append(time.perf_counter() - began)
-        if greedy.solution is None:
-            out["failures"] += 1
-            continue
-        if optimal.best is None:
-            raise RuntimeError(
-                "exact solver found nothing although the greedy solution is feasible"
-            )
-        diff = greedy.cost.total - optimal.best.cost
-        if diff < -COST_GAP_TOLERANCE:
-            raise RuntimeError(
-                f"greedy cost {greedy.cost.total} undercuts the optimum "
-                f"{optimal.best.cost}"
-            )
-        stats = footprint_stats(model, greedy.solution)
-        padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
-        out["psi_heuristic"].append(greedy.cost.total)
-        out["psi_exact"].append(optimal.best.cost)
-        out["diffs"].append(diff)
-        out["mem_shares"].append(stats.mem_shares + padding)
-        out["cpu_shares"].append(stats.cpu_shares + padding)
-        out["rho_mem"].append(stats.rho_mem)
-        out["rho_cpu"].append(stats.rho_cpu)
-    return out
+        rng = iteration_rng(first.seed, index)
+        model = generate_random_model(first.num_layers, first.skip_prob, rng)
+        # Build the model's cached tables before any solver is timed, so
+        # every cell's solver times cover solving only.
+        _ = model.cut_table, model.prefix_cpu, model.prefix_mem
+        for config, out in zip(cells, outs):
+            chain = generate_device_chain(config.num_devices, model)
+            began = time.perf_counter()
+            greedy = heuristic.solve(model, chain)
+            out["heuristic_times"].append(time.perf_counter() - began)
+            began = time.perf_counter()
+            optimal = exact.solve(model, chain)
+            out["exact_times"].append(time.perf_counter() - began)
+            if greedy.solution is None:
+                out["failures"] += 1
+                continue
+            if optimal.best is None:
+                raise RuntimeError(
+                    "exact solver found nothing although the greedy solution is feasible"
+                )
+            diff = greedy.cost.total - optimal.best.cost
+            if diff < -COST_GAP_TOLERANCE:
+                raise RuntimeError(
+                    f"greedy cost {greedy.cost.total} undercuts the optimum "
+                    f"{optimal.best.cost}"
+                )
+            stats = footprint_stats(model, greedy.solution)
+            padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
+            out["psi_heuristic"].append(greedy.cost.total)
+            out["psi_exact"].append(optimal.best.cost)
+            out["diffs"].append(diff)
+            out["mem_shares"].append(stats.mem_shares + padding)
+            out["cpu_shares"].append(stats.cpu_shares + padding)
+            out["rho_mem"].append(stats.rho_mem)
+            out["rho_cpu"].append(stats.rho_cpu)
+    return outs
 
 
 def _merge(parts: list[dict[str, list]]) -> dict[str, list]:
@@ -278,28 +295,58 @@ def _aggregate(config: ScenarioConfig, raw: dict[str, list]) -> ExperimentRecord
     )
 
 
+def _groups(
+    configs: list[ScenarioConfig] | tuple[ScenarioConfig, ...],
+) -> list[tuple[tuple[int, ...], tuple[ScenarioConfig, ...]]]:
+    """Group the cells that solve the same instances: (positions, cells).
+
+    Instances depend on ``(num_layers, skip_prob, iterations, seed)`` only,
+    so cells that differ in ``num_devices`` alone form one group.  Groups
+    are listed in the order of their first cell.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for position, config in enumerate(configs):
+        key = (config.num_layers, config.skip_prob, config.iterations, config.seed)
+        groups.setdefault(key, []).append(position)
+    return [
+        (tuple(positions), tuple(configs[p] for p in positions))
+        for positions in groups.values()
+    ]
+
+
 def run_cost_difference_sweep(
     configs: list[ScenarioConfig] | tuple[ScenarioConfig, ...],
     threads: int = 1,
 ) -> list[ExperimentRecord]:
     """Run every configuration and aggregate one record per cell.
 
-    With ``threads > 1`` iterations fan out over worker processes; the
-    per-iteration RNG derivation keeps the outcome identical to a serial run.
+    Each group of cells that differ only in ``num_devices`` draws every
+    instance once and solves it for each cell.  With ``threads > 1`` the
+    iterations of every group of at least ``2 * threads`` iterations fan out
+    as chunks over one worker pool for the whole sweep, one group at a time;
+    smaller groups run in this process while no chunk is outstanding.  The
+    per-iteration RNG derivation keeps the outcome identical to a serial
+    run.  Records come back in the order of ``configs``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    records = []
-    for config in configs:
-        if threads == 1 or config.iterations < 2 * threads:
-            raw = _run_iteration_range(config, 0, config.iterations)
-        else:
-            bounds = np.linspace(0, config.iterations, threads + 1).astype(int)
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+    groups = _groups(configs)
+    fan_out = [threads > 1 and cells[0].iterations >= 2 * threads for _, cells in groups]
+    records: list[ExperimentRecord | None] = [None] * len(configs)
+    pool_or_none = ProcessPoolExecutor(max_workers=threads) if any(fan_out) else nullcontext()
+    with pool_or_none as pool:
+        for (positions, cells), pooled in zip(groups, fan_out):
+            if pooled:
+                bounds = np.linspace(0, cells[0].iterations, threads + 1).astype(int)
                 futures = [
-                    pool.submit(_run_iteration_range, config, int(lo), int(hi))
+                    pool.submit(_run_iteration_range, cells, int(lo), int(hi))
                     for lo, hi in zip(bounds, bounds[1:])
                 ]
-                raw = _merge([f.result() for f in futures])
-        records.append(_aggregate(config, raw))
+                parts = [future.result() for future in futures]
+                raws = [_merge([part[i] for part in parts]) for i in range(len(cells))]
+            else:
+                raws = _run_iteration_range(cells, 0, cells[0].iterations)
+            # Aggregate now, so no group's raw lists outlive the group.
+            for position, config, raw in zip(positions, cells, raws):
+                records[position] = _aggregate(config, raw)
     return records

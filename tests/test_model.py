@@ -6,7 +6,6 @@ from splitplan.model import (
     DeviceChain,
     FfnnModel,
     LayerProfile,
-    PartitionAssignment,
     SplitSolution,
     max_split_count,
     partition,
@@ -56,11 +55,11 @@ class TestSplitSolution:
 class TestPartition:
     def test_single_device_takes_everything(self):
         got = partition(SplitSolution(points=(4,)), num_layers=4)
-        assert got == PartitionAssignment(subsets=(range(1, 5),))
+        assert got == (range(1, 5),)
 
     def test_three_way_split(self):
         got = partition(SplitSolution(points=(1, 3, 6)), num_layers=6)
-        assert got.subsets == (range(1, 2), range(2, 4), range(4, 7))
+        assert got == (range(1, 2), range(2, 4), range(4, 7))
 
     def test_rejects_terminal_mismatch(self):
         with pytest.raises(ValueError):
@@ -75,9 +74,9 @@ class TestPartition:
             interior = sorted(rng.choice(np.arange(1, n), size=kappa - 1, replace=False))
             x = SplitSolution(points=tuple(int(p) for p in interior) + (n,))
             got = partition(x, num_layers=n)
-            assert len(got.subsets) == kappa
+            assert len(got) == kappa
             seen: list[int] = []
-            for block in got.subsets:
+            for block in got:
                 assert len(block) >= 1
                 seen.extend(block)
             assert seen == list(range(1, n + 1))
@@ -85,7 +84,7 @@ class TestPartition:
     def test_block_ends_equal_the_splitting_points(self):
         x = SplitSolution(points=(2, 5, 9))
         got = partition(x, num_layers=9)
-        assert tuple(block[-1] for block in got.subsets) == x.points
+        assert tuple(block[-1] for block in got) == x.points
 
 
 class TestFfnnModel:

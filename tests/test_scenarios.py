@@ -1,6 +1,11 @@
+import dataclasses
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from splitplan import exact, heuristic, scenarios
 from splitplan.cost import objective
 from splitplan.model import FfnnModel, LayerProfile, SplitSolution, validate_model
 from splitplan.scenarios import (
@@ -380,3 +385,177 @@ class TestCostDifferenceSweep:
         )
         with pytest.raises(ValueError):
             run_cost_difference_sweep([config], threads=0)
+
+
+def per_cell_reference_sweep(configs):
+    """The sweep as one loop per cell, each cell drawing its own instances."""
+    records = []
+    for config in configs:
+        raw = {
+            "psi_heuristic": [],
+            "psi_exact": [],
+            "diffs": [],
+            "mem_shares": [],
+            "cpu_shares": [],
+            "rho_mem": [],
+            "rho_cpu": [],
+            "heuristic_times": [],
+            "exact_times": [],
+            "failures": 0,
+        }
+        for index in range(config.iterations):
+            rng = iteration_rng(config.seed, index)
+            model = generate_random_model(config.num_layers, config.skip_prob, rng)
+            chain = generate_device_chain(config.num_devices, model)
+            began = time.perf_counter()
+            greedy = heuristic.solve(model, chain)
+            raw["heuristic_times"].append(time.perf_counter() - began)
+            began = time.perf_counter()
+            optimal = exact.solve(model, chain)
+            raw["exact_times"].append(time.perf_counter() - began)
+            if greedy.solution is None:
+                raw["failures"] += 1
+                continue
+            diff = greedy.cost.total - optimal.best.cost
+            stats = footprint_stats(model, greedy.solution)
+            padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
+            raw["psi_heuristic"].append(greedy.cost.total)
+            raw["psi_exact"].append(optimal.best.cost)
+            raw["diffs"].append(diff)
+            raw["mem_shares"].append(stats.mem_shares + padding)
+            raw["cpu_shares"].append(stats.cpu_shares + padding)
+            raw["rho_mem"].append(stats.rho_mem)
+            raw["rho_cpu"].append(stats.rho_cpu)
+        records.append(scenarios._aggregate(config, raw))
+    return records
+
+
+def without_times(record):
+    return dataclasses.replace(record, mean_heuristic_time_s=0.0, mean_exact_time_s=0.0)
+
+
+class TestSharedInstances:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grouped_sweep_matches_the_per_cell_loop(self, threads):
+        configs = [
+            ScenarioConfig(
+                num_layers=layers,
+                num_devices=devices,
+                skip_prob=prob,
+                iterations=iterations,
+                seed=seed,
+            )
+            for layers in (6, 11)
+            for devices in (2, 3, 4)
+            for prob in (0.0, 0.5)
+            for iterations, seed in ((12, 3), (13, 3), (12, 4))
+        ]
+        # Cells of one group lie apart, and a few small ones stay in this
+        # process whatever the thread count.
+        configs += [
+            ScenarioConfig(
+                num_layers=7, num_devices=devices, skip_prob=0.5, iterations=3, seed=3
+            )
+            for devices in (3, 2)
+        ]
+        configs = [configs[i] for i in np.random.default_rng(99).permutation(len(configs))]
+        ours = run_cost_difference_sweep(configs, threads=threads)
+        reference = per_cell_reference_sweep(configs)
+        assert [record.config for record in ours] == configs
+        for got, expected in zip(ours, reference):
+            assert without_times(got) == without_times(expected)
+
+    def test_each_instance_is_drawn_once_per_group(self, monkeypatch):
+        # The benchmark's sweep grid: 10 groups of 3 device counts, 50 iterations.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return generate_random_model(*args)
+
+        monkeypatch.setattr(scenarios, "generate_random_model", counting)
+        configs = [
+            ScenarioConfig(
+                num_layers=layers, num_devices=devices, skip_prob=prob, iterations=50, seed=1
+            )
+            for devices in (2, 3, 4)
+            for prob in (0.0, 0.5)
+            for layers in (8, 12, 16, 24, 32)
+        ]
+        run_cost_difference_sweep(configs)
+        assert len(calls) == 500
+
+    def test_one_worker_pool_per_sweep(self, monkeypatch):
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", CountingPool)
+        configs = [
+            ScenarioConfig(
+                num_layers=layers, num_devices=devices, skip_prob=0.5, iterations=6, seed=2
+            )
+            for layers in (5, 8, 10)
+            for devices in (2, 3)
+        ]
+        run_cost_difference_sweep(configs, threads=2)
+        assert built == [{"max_workers": 2}]
+        # Groups too small to split run in this process and start no pool.
+        small = [dataclasses.replace(config, iterations=3) for config in configs]
+        run_cost_difference_sweep(small, threads=2)
+        assert len(built) == 1
+
+    def test_small_groups_run_while_no_chunk_is_outstanding(self, monkeypatch):
+        # Pooled groups run one at a time, so a group too small to split
+        # never computes in this process beside busy workers.
+        run_range = scenarios._run_iteration_range
+        outstanding = []
+        seen = []
+
+        class Chunk:
+            def __init__(self, args):
+                self.args = args
+                outstanding.append(self)
+
+            def result(self):
+                outstanding.remove(self)
+                return run_range(*self.args)
+
+        class DeferredPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Chunk(args)
+
+        def in_this_process(cells, start, stop):
+            seen.append(len(outstanding))
+            return run_range(cells, start, stop)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", DeferredPool)
+        monkeypatch.setattr(scenarios, "_run_iteration_range", in_this_process)
+        configs = [
+            ScenarioConfig(
+                num_layers=layers,
+                num_devices=devices,
+                skip_prob=0.5,
+                iterations=iterations,
+                seed=5,
+            )
+            for layers, iterations in ((6, 3), (9, 8), (7, 2), (10, 8))
+            for devices in (2, 3)
+        ]
+        ours = run_cost_difference_sweep(configs, threads=2)
+        assert seen == [0, 0]
+        assert not outstanding
+        serial = run_cost_difference_sweep(configs, threads=1)
+        assert [without_times(r) for r in ours] == [without_times(r) for r in serial]

@@ -43,6 +43,10 @@ from .svgplot import write_sweep_svg
 
 THREADS_ENV_VAR = "SPLITPLAN_THREADS"
 
+# Largest sweep cell: each instance's skip edges come from one (n, n) float64
+# draw of 8 * n**2 bytes, 128 MiB at this bound.
+MAX_SWEEP_LAYERS = 4096
+
 CSV_COLUMNS = (
     "num_layers",
     "num_devices",
@@ -235,6 +239,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _parse_experiment_config(path: str) -> dict:
+    """Read and check a sweep config; raise ``ValueError`` before any draw.
+
+    Every ``num_layers`` entry must be at most ``MAX_SWEEP_LAYERS``.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
@@ -249,6 +257,12 @@ def _parse_experiment_config(path: str) -> dict:
         values = payload.get(key)
         if not isinstance(values, list) or not all(map(_is_integer, values)):
             raise ValueError(f"{path}: '{key}' must be a list of integers, got {values!r}")
+    too_large = [n for n in payload["num_layers"] if n > MAX_SWEEP_LAYERS]
+    if too_large:
+        raise ValueError(
+            f"{path}: 'num_layers' must be at most {MAX_SWEEP_LAYERS} (one n x n "
+            f"float64 skip draw per instance), got {too_large[0]}"
+        )
     probs = payload.get("skip_probs")
     if not isinstance(probs, list) or not all(
         isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0

@@ -6,12 +6,21 @@ for device ``t`` its entry for the last layer is the optimum with exactly
 ``t`` partitions, because no step depends on how many partitions are asked
 for.  A block is feasible on a device when its summed cpu and memory costs
 both fit the device, the rule ``cost.is_feasible`` applies to whole
-solutions.  The earliest split ``q`` whose block ``q+1..p`` fits a device
-never moves left as ``p`` grows, so each step is a sliding-window minimum
-that a monotone deque answers in O(n); the whole pass costs O(kappa * n)
-after the model's O(n + E) cut table and its cost prefix sums are built
-once.  ``solve`` keeps the global best over all counts and
-``solve_fixed_splits`` returns one count's entry.
+solutions.  Chains-on-chains partitioning, Bokhari, IEEE Trans. Computers
+1988.
+
+The program runs over a stack of B instances of one shape at once: ``(B,
+n + 1)`` prefix sums and cut tables, ``(B, d)`` capacities and ``(B, d -
+1)`` link rates.  Each block limit, the earliest split ``q`` whose block
+``q+1..p`` fits a device, comes from one ``searchsorted`` over the whole
+stack.  Each step's minimum over its window of admissible splits comes from
+a sparse table of leftmost argmins over power-of-two blocks (Bender and
+Farach-Colton, "The LCA Problem Revisited", LATIN 2000), built only up to
+the step's widest window.  The pass costs O(kappa * n log n) per stack
+after each model's O(n + E) cut table and cost prefix sums.  ``solve`` and
+``solve_fixed_splits`` run it on a stack of one; ``optimal_costs`` takes a
+stack, as the sweeps build it.
+
 ``brute_force_fixed_splits`` enumerates every candidate split vector and
 exists to cross-check the DP on small instances; it refuses instances
 beyond an explicit candidate budget.
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,84 +73,170 @@ def _validate_num_splits(model: FfnnModel, chain: DeviceChain, num_splits: int) 
         )
 
 
-def _optimal_points(
-    model: FfnnModel, chain: DeviceChain, limit: int
-) -> list[tuple[int, ...] | None]:
-    """Optimal splitting points for each partition count ``1..limit``.
+def _block_limit_search(prefixes: np.ndarray):
+    """Block limits of a stack, one device at a time.
 
-    ``best[p]`` after the step for device ``t`` is the cheapest way to place
-    layers ``1..p`` on devices ``1..t`` with the t-th split at ``p``; moving
-    from split ``q`` on device ``t-1`` costs ``cut_table[q] /
+    ``prefixes`` is ``(R, B, n + 1)``: one non-decreasing prefix-sum row per
+    resource and instance.  Returns ``limits(capacities)``, which maps the
+    ``(R, B)`` capacities of one device to the ``(B, n + 1)`` array whose
+    entry ``[b, p]`` is the smallest q whose block ``q+1..p`` fits: the
+    largest over the resources of ``searchsorted(prefix, prefix[p] -
+    capacity, "left")`` on the row.  One search covers every row: the keys
+    are ``row + 1j * prefix``, which numpy orders lexicographically, so each
+    query lands in its own row exactly as a search of that row alone would.
+    """
+    resources, rows, width = prefixes.shape
+    row = np.arange(resources * rows).reshape(resources, rows, 1)
+    keys = np.empty(prefixes.shape, dtype=complex)
+    keys.real = row
+    keys.imag = prefixes
+    keys = keys.reshape(-1)
+    queries = np.empty(prefixes.shape, dtype=complex)
+    queries.real = row
+
+    def limits(capacities: np.ndarray) -> np.ndarray:
+        queries.imag = prefixes - capacities[..., None]
+        found = np.searchsorted(keys, queries.reshape(-1), "left").reshape(prefixes.shape)
+        return (found - row * width).max(axis=0)
+
+    return limits
+
+
+def _window_minima(values: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost minimum of ``values[b, first[b, p]:p]`` for every row b and p.
+
+    Returns the minima, ``inf`` where the window is empty, and their
+    positions.  A sparse table holds, per level k, the leftmost minimum of
+    every block of ``2**k`` values as ``value + 1j * position``: numpy
+    orders complex numbers by real part, then imaginary part, so
+    ``np.minimum`` keeps the smaller value and, on a tie, the smaller
+    position.  A window of width w is covered by the two level
+    ``floor(log2 w)`` blocks at its ends.  Levels beyond the widest window
+    are not built.
+    """
+    rows, width = values.shape
+    positions = np.arange(width)
+    span = positions - first
+    empty = span < 1
+    span[empty] = 1
+    level = (np.frexp(span.astype(float))[1] - 1).astype(np.intp)  # floor(log2)
+    levels = int(level.max()) + 1
+    table = np.empty((levels, rows, width), dtype=complex)
+    table.real[0] = values
+    table.imag[0] = positions
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        np.minimum(table[k - 1, :, :-half], table[k - 1, :, half:], out=table[k, :, :-half])
+    base = (level * rows + np.arange(rows)[:, None]) * width
+    left = base + np.where(empty, 0, first)
+    right = base + np.where(empty, 0, positions - (1 << level))
+    table = table.reshape(-1)
+    found = np.minimum(table[left], table[right])
+    minima = found.real
+    minima[empty] = np.inf
+    return minima, found.imag.astype(np.intp)
+
+
+def _steps(
+    prefixes: np.ndarray,
+    cut_table: np.ndarray,
+    capacities: np.ndarray,
+    link_rate: np.ndarray,
+    limit: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Yield ``(best, parent)`` after the step for each device ``t = 1..limit``.
+
+    Takes ``(2, B, n + 1)`` cpu and memory prefix sums, ``(B, n + 1)`` cut
+    tables, ``(2, B, d)`` cpu and memory capacities and ``(B, d - 1)`` link
+    rates, with ``limit <= min(n, d)``.  ``best[b, p]`` is the cheapest way
+    to place layers ``1..p`` of instance b on devices ``1..t`` with the
+    t-th split at ``p``, ``inf`` when none fits; ``best[b, n]`` is the
+    optimum with exactly t partitions.  ``parent[b, p]`` is the split on
+    device ``t - 1`` it extends (None for the first device).
+
+    Moving from split ``q`` on device ``t-1`` costs ``cut_table[q] /
     link_rate[t-1]`` and requires block ``q+1..p`` to fit device ``t``: its
     summed cpu and memory costs both stay within the device's capacities.
-    Cost ties pick the smaller ``q``.  The window of admissible ``q`` for
-    split ``p`` is ``lo(p)..p-1``, and ``lo`` never decreases for the
-    non-negative costs ``validate_model`` admits.
+    Cost ties pick the smaller ``q``.  Each cost is the running sum ``0.0 +
+    cut[x_1] / r_1 + ...`` in ascending device order, the float sum
+    ``cost.objective`` computes for the traced-back points.  One step holds
+    O(B * n log n) memory, whatever ``limit`` is.
     """
+    limits = _block_limit_search(prefixes)
+    best = np.where(limits(capacities[:, :, 0]) == 0, 0.0, np.inf)
+    best[:, 0] = np.inf
+    yield best, None
+    for t in range(2, limit + 1):
+        arrival = best + cut_table / link_rate[:, t - 2, None]
+        first = np.maximum(limits(capacities[:, :, t - 1]), t - 1)
+        best, parent = _window_minima(arrival, first)
+        yield best, parent
+
+
+def _chain_arrays(chains: Sequence[DeviceChain]) -> tuple[np.ndarray, np.ndarray]:
+    """``(2, B, d)`` cpu and memory capacities and ``(B, d - 1)`` link rates."""
+    capacities = np.array(
+        [
+            [[device.cpu_capacity for device in chain.devices] for chain in chains],
+            [[device.mem_capacity for device in chain.devices] for chain in chains],
+        ]
+    )
+    return capacities, np.array([chain.link_rate for chain in chains])
+
+
+def _optima(model: FfnnModel, chain: DeviceChain, limit: int) -> list[SolvedSplit | None]:
+    """Optimal split for each partition count ``1..limit``, on a stack of one."""
     if limit < 1:
         return []
-    n = model.num_layers
-    prefix_cpu = model.prefix_cpu
-    prefix_mem = model.prefix_mem
-    cut_table = cut_traffic_table(model)
-
-    def block_limits(device_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per split position p, the smallest q so block q+1..p fits the device."""
-        device = chain.devices[device_index]
-        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - device.cpu_capacity, "left")
-        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
-        return cpu_min_q, mem_min_q
-
-    def trace_back(best: np.ndarray, parents: list[list[int]]) -> tuple[int, ...] | None:
-        if not np.isfinite(best[n]):
-            return None
-        points = [n]
-        for parent in reversed(parents):
-            points.append(parent[points[-1]])
-        return tuple(reversed(points))
-
-    cpu_min_q, mem_min_q = block_limits(0)
-    best = np.full(n + 1, np.inf)
-    fits_first = (cpu_min_q == 0) & (mem_min_q == 0)
-    best[1:][fits_first[1:]] = 0.0
-    parents: list[list[int]] = []
-    optima = [trace_back(best, parents)]
-
-    for t in range(2, limit + 1):
-        cpu_min_q, mem_min_q = block_limits(t - 1)
-        lo = np.maximum(np.maximum(cpu_min_q, mem_min_q), t - 1).tolist()
-        arrival = (best + cut_table / chain.link_rate[t - 2]).tolist()
-        next_best = [math.inf] * (n + 1)
-        parent = [0] * (n + 1)
-        # Candidate q in increasing order with non-decreasing arrival: a new
-        # value evicts only strictly greater ones, so the front is the
-        # leftmost minimum of the window.
-        window: deque[int] = deque()
-        for p in range(t, n + 1):
-            value = arrival[p - 1]
-            if value < math.inf:  # an unreachable split never wins
-                while window and arrival[window[-1]] > value:
-                    window.pop()
-                window.append(p - 1)
-            while window and window[0] < lo[p]:
-                window.popleft()
-            if window:
-                q = window[0]
-                next_best[p] = arrival[q]
-                parent[p] = q
-        best = np.array(next_best)
+    costs, parents = [], []
+    for best, parent in _steps(
+        np.stack((model.prefix_cpu, model.prefix_mem))[:, None],
+        cut_traffic_table(model)[None],
+        *_chain_arrays([chain]),
+        limit,
+    ):
+        costs.append(float(best[0, -1]))
         parents.append(parent)
-        optima.append(trace_back(best, parents))
-    return optima
+    return [
+        SolvedSplit(
+            solution=SplitSolution(points=_trace_back(parents, 0, kappa, model.num_layers)),
+            cost=cost,
+        )
+        if math.isfinite(cost)
+        else None
+        for kappa, cost in enumerate(costs, start=1)
+    ]
 
 
-def _solved(
-    model: FfnnModel, chain: DeviceChain, points: tuple[int, ...] | None
-) -> SolvedSplit | None:
-    if points is None:
-        return None
-    solution = SplitSolution(points=points)
-    return SolvedSplit(solution=solution, cost=objective(model, chain, solution).total)
+def _trace_back(parents: list, row: int, kappa: int, n: int) -> tuple[int, ...]:
+    """Splitting points of instance ``row``'s optimum with ``kappa`` partitions.
+
+    ``parents`` lists the ``parent`` arrays of ``_steps`` in device order.
+    """
+    points = [n]
+    for parent in reversed(parents[1:kappa]):
+        points.append(int(parent[row, points[-1]]))
+    return tuple(reversed(points))
+
+
+def optimal_costs(
+    prefix_cpu: np.ndarray,
+    prefix_mem: np.ndarray,
+    cut_table: np.ndarray,
+    chains: Sequence[DeviceChain],
+) -> np.ndarray:
+    """Optimal cost of each of B stacked instances of n layers on d devices.
+
+    Row b of the ``(B, n + 1)`` arrays holds instance b's cost prefix sums
+    and cut table, as ``FfnnModel.prefix_cpu``, ``prefix_mem`` and
+    ``cut_table`` hold them, and ``chains[b]`` is its chain.  Entry b of
+    the result is the cost of ``solve(...).best`` on instance b, bit for
+    bit, or ``inf`` when no partition count is feasible.
+    """
+    capacities, link_rate = _chain_arrays(chains)
+    limit = min(cut_table.shape[1] - 1, capacities.shape[2])
+    steps = _steps(np.stack((prefix_cpu, prefix_mem)), cut_table, capacities, link_rate, limit)
+    return np.min([best[:, -1].copy() for best, _ in steps], axis=0)
 
 
 def solve_fixed_splits(
@@ -149,7 +244,7 @@ def solve_fixed_splits(
 ) -> SolvedSplit | None:
     """Optimal split into exactly ``num_splits`` non-empty blocks, or None."""
     _validate_num_splits(model, chain, num_splits)
-    return _solved(model, chain, _optimal_points(model, chain, num_splits)[-1])
+    return _optima(model, chain, num_splits)[-1]
 
 
 def solve(
@@ -163,8 +258,7 @@ def solve(
         limit = min(limit, max_splits)
     per_kappa: dict[int, SolvedSplit | None] = {}
     best: SolvedSplit | None = None
-    for kappa, points in enumerate(_optimal_points(model, chain, limit), start=1):
-        entry = _solved(model, chain, points)
+    for kappa, entry in enumerate(_optima(model, chain, limit), start=1):
         per_kappa[kappa] = entry
         if entry is not None and (best is None or entry.cost < best.cost):
             best = entry

@@ -13,11 +13,16 @@ the greedy scan, offload statistics, and solver wall times.  Every iteration
 derives its own RNG from ``(seed, iteration)``, so results do not depend on
 execution order and work can fan out across processes.  The draw does not
 depend on the device count, so cells that differ only in ``num_devices``
-draw each model once and solve it on each cell's ladder.
+draw each model once and solve it on each cell's ladder.  The greedy runs
+per instance; the exact solver runs once per cell over a stack of up to
+``EXACT_STACK_SIZE`` instances (``exact.optimal_costs``: block limits from
+one search, window minima from a sparse table, O(kappa * n log n) per
+stack), and each instance's exact time is the stack's time over its size.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -31,6 +36,11 @@ from .model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
 # A greedy solution may only ever cost at least as much as the optimum;
 # anything below -COST_GAP_TOLERANCE indicates a solver defect.
 COST_GAP_TOLERANCE = 1e-9
+
+# The exact solver runs over stacks of at most this many instances: enough to
+# amortize its per-call cost, and a bounded number of (n + 1)-rows in memory
+# however many iterations a cell has.
+EXACT_STACK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -204,46 +214,62 @@ def _run_iteration_range(
 
     The cells share ``(num_layers, skip_prob, iterations, seed)``, so each
     iteration draws one model and solves it on every cell's device chain.
-    Returns one dict of raw outcomes per cell, in the order of ``cells``.
+    The iterations go in stacks of at most ``EXACT_STACK_SIZE``: the greedy
+    runs on each instance as it is drawn, and the exact solver then runs
+    once per cell over the stack's arrays, so no drawn model outlives its
+    iteration.  Returns one dict of raw outcomes per cell, in the order of
+    ``cells``.
     """
     first = cells[0]
     outs = [_empty_outcome() for _ in cells]
-    for index in range(start, stop):
-        rng = iteration_rng(first.seed, index)
-        model = generate_random_model(first.num_layers, first.skip_prob, rng)
-        # Build the model's cached tables before any solver is timed, so
-        # every cell's solver times cover solving only.
-        _ = model.cut_table, model.prefix_cpu, model.prefix_mem
-        for config, out in zip(cells, outs):
-            chain = generate_device_chain(config.num_devices, model)
+    for stack_start in range(start, stop, EXACT_STACK_SIZE):
+        indices = range(stack_start, min(stack_start + EXACT_STACK_SIZE, stop))
+        # Each instance's cpu and memory prefix sums and cut table, one row each.
+        tables = np.empty((3, len(indices), first.num_layers + 1))
+        # Per cell, each instance's (chain, greedy result, greedy footprint).
+        solved: list[list[tuple]] = [[] for _ in cells]
+        for row, index in enumerate(indices):
+            rng = iteration_rng(first.seed, index)
+            model = generate_random_model(first.num_layers, first.skip_prob, rng)
+            # Build the model's cached tables before any solver is timed, so
+            # every cell's solver times cover solving only.
+            tables[:, row] = model.prefix_cpu, model.prefix_mem, model.cut_table
+            for config, out, instances in zip(cells, outs, solved):
+                chain = generate_device_chain(config.num_devices, model)
+                began = time.perf_counter()
+                greedy = heuristic.solve(model, chain)
+                out["heuristic_times"].append(time.perf_counter() - began)
+                stats = None
+                if greedy.solution is not None:
+                    stats = footprint_stats(model, greedy.solution)
+                instances.append((chain, greedy, stats))
+        for config, out, instances in zip(cells, outs, solved):
             began = time.perf_counter()
-            greedy = heuristic.solve(model, chain)
-            out["heuristic_times"].append(time.perf_counter() - began)
-            began = time.perf_counter()
-            optimal = exact.solve(model, chain)
-            out["exact_times"].append(time.perf_counter() - began)
-            if greedy.solution is None:
-                out["failures"] += 1
-                continue
-            if optimal.best is None:
-                raise RuntimeError(
-                    "exact solver found nothing although the greedy solution is feasible"
-                )
-            diff = greedy.cost.total - optimal.best.cost
-            if diff < -COST_GAP_TOLERANCE:
-                raise RuntimeError(
-                    f"greedy cost {greedy.cost.total} undercuts the optimum "
-                    f"{optimal.best.cost}"
-                )
-            stats = footprint_stats(model, greedy.solution)
-            padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
-            out["psi_heuristic"].append(greedy.cost.total)
-            out["psi_exact"].append(optimal.best.cost)
-            out["diffs"].append(diff)
-            out["mem_shares"].append(stats.mem_shares + padding)
-            out["cpu_shares"].append(stats.cpu_shares + padding)
-            out["rho_mem"].append(stats.rho_mem)
-            out["rho_cpu"].append(stats.rho_cpu)
+            optima = exact.optimal_costs(*tables, [chain for chain, _, _ in instances])
+            # Each instance is charged an equal share of the stack's time.
+            share = (time.perf_counter() - began) / len(indices)
+            out["exact_times"].extend([share] * len(indices))
+            for (_, greedy, stats), optimum in zip(instances, optima.tolist()):
+                if greedy.solution is None:
+                    out["failures"] += 1
+                    continue
+                if optimum == math.inf:
+                    raise RuntimeError(
+                        "exact solver found nothing although the greedy solution is feasible"
+                    )
+                diff = greedy.cost.total - optimum
+                if diff < -COST_GAP_TOLERANCE:
+                    raise RuntimeError(
+                        f"greedy cost {greedy.cost.total} undercuts the optimum {optimum}"
+                    )
+                padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
+                out["psi_heuristic"].append(greedy.cost.total)
+                out["psi_exact"].append(optimum)
+                out["diffs"].append(diff)
+                out["mem_shares"].append(stats.mem_shares + padding)
+                out["cpu_shares"].append(stats.cpu_shares + padding)
+                out["rho_mem"].append(stats.rho_mem)
+                out["rho_cpu"].append(stats.rho_cpu)
     return outs
 
 

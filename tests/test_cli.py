@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from splitplan import scenarios
-from splitplan.cli import main
+from splitplan.cli import MAX_SWEEP_LAYERS, _parse_experiment_config, main
 from splitplan.cost import objective
 from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
 from splitplan.profiles import load_chain, load_model, save_chain, save_model
@@ -402,6 +402,28 @@ class TestExperiment:
         )
         assert code == 2
         assert f"threads must be in 1..{os.cpu_count() or 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", [20000, 1000000])
+    def test_oversized_cells_exit_two_before_any_draw_or_pool(
+        self, tmp_path, capsys, monkeypatch, layers
+    ):
+        # One (n, n) skip draw of these cells needs 3 GB and 8 TB.
+        def refuse_draw(*args, **kwargs):
+            raise AssertionError("no instance may be drawn")
+
+        monkeypatch.setattr(scenarios, "generate_random_model", refuse_draw)
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", refuse_pool)
+        config = write_sweep_config(tmp_path, num_layers=[8, layers], threads=2)
+        code = main(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert f"'num_layers' must be at most {MAX_SWEEP_LAYERS}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_the_layer_bound_itself_is_accepted(self, tmp_path):
+        config = write_sweep_config(tmp_path, num_layers=[MAX_SWEEP_LAYERS])
+        assert _parse_experiment_config(str(config))["num_layers"] == [MAX_SWEEP_LAYERS]
 
     def test_config_must_be_json(self, tmp_path, capsys):
         config = tmp_path / "broken.json"

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -108,6 +109,64 @@ def reference_fixed_splits(model, chain, num_splits):
         points.append(int(parent[points[-1]]))
     solution = SplitSolution(points=tuple(reversed(points)))
     return exact.SolvedSplit(solution=solution, cost=objective(model, chain, solution).total)
+
+
+def reference_optimal_points(model, chain, limit):
+    """The one-pass DP with a monotone deque per step, as ``exact`` once ran it.
+
+    Returns the optimal splitting points for each partition count
+    ``1..limit``, or None where a count is infeasible.
+    """
+    if limit < 1:
+        return []
+    n = model.num_layers
+    prefix_cpu = model.prefix_cpu
+    prefix_mem = model.prefix_mem
+    cut_table = cut_traffic_table(model)
+
+    def block_limits(device_index):
+        device = chain.devices[device_index]
+        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - device.cpu_capacity, "left")
+        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
+        return cpu_min_q, mem_min_q
+
+    def trace_back(best, parents):
+        if not np.isfinite(best[n]):
+            return None
+        points = [n]
+        for parent in reversed(parents):
+            points.append(parent[points[-1]])
+        return tuple(reversed(points))
+
+    cpu_min_q, mem_min_q = block_limits(0)
+    best = np.full(n + 1, np.inf)
+    fits_first = (cpu_min_q == 0) & (mem_min_q == 0)
+    best[1:][fits_first[1:]] = 0.0
+    parents = []
+    optima = [trace_back(best, parents)]
+    for t in range(2, limit + 1):
+        cpu_min_q, mem_min_q = block_limits(t - 1)
+        lo = np.maximum(np.maximum(cpu_min_q, mem_min_q), t - 1).tolist()
+        arrival = (best + cut_table / chain.link_rate[t - 2]).tolist()
+        next_best = [math.inf] * (n + 1)
+        parent = [0] * (n + 1)
+        window = deque()
+        for p in range(t, n + 1):
+            value = arrival[p - 1]
+            if value < math.inf:
+                while window and arrival[window[-1]] > value:
+                    window.pop()
+                window.append(p - 1)
+            while window and window[0] < lo[p]:
+                window.popleft()
+            if window:
+                q = window[0]
+                next_best[p] = arrival[q]
+                parent[p] = q
+        best = np.array(next_best)
+        parents.append(parent)
+        optima.append(trace_back(best, parents))
+    return optima
 
 
 def ladder_instance(rng):
@@ -364,3 +423,141 @@ class TestCpuLadderTies:
         dp = exact.solve_fixed_splits(model, chain, 3)
         assert dp == exact.brute_force_fixed_splits(model, chain, 3)
         assert dp.cost == 6.0
+
+
+def stacked_optima(models, chains):
+    """One kernel pass over a stack: per instance, the points or None per count."""
+    limit = min(models[0].num_layers, chains[0].num_devices)
+    prefixes = np.array([[m.prefix_cpu for m in models], [m.prefix_mem for m in models]])
+    cut_table = np.array([cut_traffic_table(m) for m in models])
+    steps = list(exact._steps(prefixes, cut_table, *exact._chain_arrays(chains), limit))
+    costs = np.array([best[:, -1] for best, _ in steps])
+    parents = [parent for _, parent in steps]
+    n = models[0].num_layers
+    return [
+        [
+            exact._trace_back(parents, row, kappa, n) if np.isfinite(cost) else None
+            for kappa, cost in enumerate(costs[:, row], start=1)
+        ]
+        for row in range(len(models))
+    ], costs
+
+
+def assert_stack_matches_reference(models, chains):
+    """Points of every count equal the deque's; costs equal the objective's bits."""
+    points, costs = stacked_optima(models, chains)
+    best = exact.optimal_costs(
+        np.array([m.prefix_cpu for m in models]),
+        np.array([m.prefix_mem for m in models]),
+        np.array([cut_traffic_table(m) for m in models]),
+        chains,
+    )
+    feasible = 0
+    for row, (model, chain) in enumerate(zip(models, chains)):
+        expected = reference_optimal_points(model, chain, len(points[row]))
+        assert points[row] == expected
+        for kappa, found in enumerate(expected, start=1):
+            if found is None:
+                assert costs[kappa - 1, row] == np.inf
+                continue
+            total = objective(model, chain, SplitSolution(points=found)).total
+            assert costs[kappa - 1, row] == total  # bit for bit, no tolerance
+            feasible += 1
+        optimum = exact.solve(model, chain).best
+        assert best[row] == (np.inf if optimum is None else optimum.cost)
+    return feasible
+
+
+def block_sum_capacities(rng, model, num_devices):
+    """Capacities that each equal some block's sum, summed two different ways."""
+    n = model.num_layers
+    capacities = []
+    for _ in range(num_devices):
+        q, p = sorted(int(i) for i in rng.choice(n + 1, size=2, replace=False))
+        if rng.random() < 0.5:
+            cpu = model.prefix_cpu[p] - model.prefix_cpu[q]
+            mem = model.prefix_mem[p] - model.prefix_mem[q]
+        else:
+            cpu = sum(model.cpu_costs()[q:p].tolist())
+            mem = sum(model.mem_costs()[q:p].tolist())
+        capacities.append((float(cpu), float(mem)))
+    return capacities
+
+
+class TestStackedKernelAgainstDeque:
+    """The stacked kernel reproduces the deque's points for every count."""
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.5, 1.0])
+    def test_sweep_shaped_stacks(self, skip_prob):
+        feasible = 0
+        for layers in (3, 8, 18, 28):
+            for devices in (2, 3, 4, 5):
+                rng = scenarios.iteration_rng(layers * 10 + devices, int(skip_prob * 2))
+                models = [
+                    scenarios.generate_random_model(layers, skip_prob, rng) for _ in range(12)
+                ]
+                chains = [scenarios.generate_device_chain(devices, m) for m in models]
+                feasible += assert_stack_matches_reference(models, chains)
+        assert feasible > 150  # the ladder leaves most small counts infeasible
+
+    def test_fractional_costs_with_capacities_on_block_sums(self):
+        rng = np.random.default_rng(6151)
+        feasible = 0
+        for layers, devices in ((2, 2), (5, 3), (9, 4), (16, 6), (30, 7)):
+            models, chains = [], []
+            for _ in range(40):
+                mem = 1.0 - rng.random(layers) * 0.99
+                cpu = rng.uniform(0.05, 0.85, layers)
+                traffic = np.triu(rng.uniform(0.0, 2.0, (layers, layers)), k=1)
+                traffic[rng.random((layers, layers)) < 0.5] = 0.0
+                model = make_model(mem.tolist(), traffic, cpu.tolist())
+                capacities = block_sum_capacities(rng, model, devices)
+                rates = rng.uniform(0.25, 2.0, devices - 1).tolist()
+                models.append(model)
+                chains.append(make_chain(capacities, rates))
+            feasible += assert_stack_matches_reference(models, chains)
+        assert feasible > 20
+
+    def test_zero_traffic_ties_take_the_leftmost_plan(self):
+        n = 7
+        models = [make_model([0.1] * n, np.zeros((n, n))) for _ in range(4)]
+        chains = [
+            ample_chain(4),
+            make_chain([(2.0, 0.2), (100.0, 100.0), (100.0, 100.0), (100.0, 100.0)], [1.0] * 3),
+            make_chain([(1.0, 100.0), (1.0, 100.0), (2.0, 100.0), (100.0, 100.0)], [0.5] * 3),
+            make_chain([(100.0, 0.35), (100.0, 0.25), (100.0, 0.4), (100.0, 1.0)], [2.0] * 3),
+        ]
+        assert_stack_matches_reference(models, chains)
+        points, _ = stacked_optima(models, chains)
+        assert points[0] == [(n,), (1, n), (1, 2, n), (1, 2, 3, n)]
+
+    def test_unreachable_counts_and_a_device_that_hosts_nothing(self):
+        n = 5
+        models = [make_model([0.2] * n, np.zeros((n, n))) for _ in range(3)]
+        chains = [
+            # Device 2 hosts nothing, so only the single block is feasible.
+            make_chain([(100.0, 100.0), (0.0, 0.0), (100.0, 100.0), (100.0, 100.0)], [1.0] * 3),
+            # One layer per device at most: only four or five partitions could fit,
+            # and four devices cannot host five layers.
+            make_chain([(1.0, 0.2)] * 4, [1.0] * 3),
+            # The first device hosts nothing: no count is feasible.
+            make_chain([(0.0, 0.0)] + [(100.0, 100.0)] * 3, [1.0] * 3),
+        ]
+        assert_stack_matches_reference(models, chains)
+        points, costs = stacked_optima(models, chains)
+        assert points[0] == [(n,), None, None, None]
+        assert points[1] == [None] * 4
+        assert points[2] == [None] * 4
+        assert np.isinf(costs[:, 1:]).all()
+
+    @pytest.mark.parametrize("layers, devices", [(256, 4), (517, 5), (1000, 8), (2000, 16)])
+    def test_stacks_of_one_at_plan_scale(self, layers, devices):
+        rng = np.random.default_rng([layers, devices])
+        model = scenarios.generate_random_model(layers, 8.0 / layers, rng)
+        chain = scenarios.generate_device_chain(devices, model)
+        assert assert_stack_matches_reference([model], [chain]) >= 1
+        got = exact.solve(model, chain)
+        expected = reference_optimal_points(model, chain, devices)
+        assert [
+            None if entry is None else entry.solution.points for entry in got.per_kappa.values()
+        ] == expected

@@ -465,6 +465,23 @@ class TestSharedInstances:
         for got, expected in zip(ours, reference):
             assert without_times(got) == without_times(expected)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stacks_split_at_the_stack_size_match_the_per_cell_loop(self, threads):
+        # Serially the group runs as stacks of 256, 256 and 89 instances; with
+        # two workers each half of 300 or 301 iterations ends in a short stack.
+        iterations = 2 * scenarios.EXACT_STACK_SIZE + 89
+        configs = [
+            ScenarioConfig(
+                num_layers=6, num_devices=devices, skip_prob=0.5, iterations=iterations, seed=5
+            )
+            for devices in (3, 2)
+        ]
+        ours = run_cost_difference_sweep(configs, threads=threads)
+        reference = per_cell_reference_sweep(configs)
+        for got, expected in zip(ours, reference):
+            assert without_times(got) == without_times(expected)
+        assert all(len(record.psi_exact) > scenarios.EXACT_STACK_SIZE for record in ours)
+
     def test_each_instance_is_drawn_once_per_group(self, monkeypatch):
         # The benchmark's sweep grid: 10 groups of 3 device counts, 50 iterations.
         calls = []

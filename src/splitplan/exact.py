@@ -12,12 +12,13 @@ solutions.  Chains-on-chains partitioning, Bokhari, IEEE Trans. Computers
 The program runs over a stack of B instances of one shape at once: ``(B,
 n + 1)`` prefix sums and cut tables, ``(B, d)`` capacities and ``(B, d -
 1)`` link rates.  Each block limit, the earliest split ``q`` whose block
-``q+1..p`` fits a device, comes from one ``searchsorted`` over the whole
-stack.  Each step's minimum over its window of admissible splits comes from
-a sparse table of leftmost argmins over power-of-two blocks (Bender and
-Farach-Colton, "The LCA Problem Revisited", LATIN 2000), built only up to
-the step's widest window.  The pass costs O(kappa * n log n) per stack
-after each model's O(n + E) cut table and cost prefix sums.  ``solve`` and
+``q+1..p`` fits a device, comes from one ``searchsorted`` per device over
+the whole stack.  Each step's minimum over its window of admissible splits
+comes from a sparse table of leftmost argmins over power-of-two blocks
+(Bender and Farach-Colton, "The LCA Problem Revisited", LATIN 2000), built
+only up to the step's widest window.  The pass costs O(kappa * n log n)
+per instance of the stack, after each model's O(n + E) cut table and cost
+prefix sums.  ``solve`` and
 ``solve_fixed_splits`` run it on a stack of one; ``optimal_costs`` takes a
 stack, as the sweeps build it.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ def _validate_num_splits(model: FfnnModel, chain: DeviceChain, num_splits: int) 
         )
 
 
-def _block_limit_search(prefixes: np.ndarray):
+def _block_limit_search(prefixes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Block limits of a stack, one device at a time.
 
     ``prefixes`` is ``(R, B, n + 1)``: one non-decreasing prefix-sum row per

@@ -16,8 +16,9 @@ depend on the device count, so cells that differ only in ``num_devices``
 draw each model once and solve it on each cell's ladder.  The greedy runs
 per instance; the exact solver runs once per cell over a stack of up to
 ``EXACT_STACK_SIZE`` instances (``exact.optimal_costs``: block limits from
-one search, window minima from a sparse table, O(kappa * n log n) per
-stack), and each instance's exact time is the stack's time over its size.
+one search per device, window minima from a sparse table, O(kappa * n log
+n) per instance), and each instance's exact time is the stack's time over
+its size.
 """
 
 from __future__ import annotations

@@ -94,9 +94,11 @@ def is_feasible(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> Feasi
             f"solution uses {x.kappa} devices but the chain has {chain.num_devices}"
         )
     blocks = partition(x, model.num_layers)
+    cpu = model.cpu.tolist()
+    mem = model.mem.tolist()
     for t, block in enumerate(blocks, start=1):
         device = chain.devices[t - 1]
-        total_cpu = sum(model.layers[i - 1].cpu_cost for i in block)
+        total_cpu = sum(cpu[block.start - 1 : block.stop - 1])
         if total_cpu > device.cpu_capacity:
             return FeasibilityResult(
                 ok=False,
@@ -107,7 +109,7 @@ def is_feasible(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> Feasi
                     f"capacity {device.cpu_capacity}"
                 ),
             )
-        total_mem = sum(model.layers[i - 1].mem_cost for i in block)
+        total_mem = sum(mem[block.start - 1 : block.stop - 1])
         if total_mem > device.mem_capacity:
             return FeasibilityResult(
                 ok=False,

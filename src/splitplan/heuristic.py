@@ -11,7 +11,6 @@ overflow it the commit-and-move step cascades down the chain.  The scan
 pointer never moves backwards, so the loop body runs at most
 ``num_layers + num_splits - 1`` times per scan.
 
-``solve_fixed_splits`` runs the scan with at most ``num_splits`` devices.
 ``solve`` prefers the smallest partition count whose scan places every
 layer, because every extra boundary can only add transfer time.  A scan
 limited to ``k`` devices runs exactly like an unlimited one until it first
@@ -29,14 +28,6 @@ from dataclasses import dataclass
 
 from .cost import CostBreakdown, cut_traffic_table, objective
 from .model import DeviceChain, FfnnModel, SplitSolution, max_split_count
-
-
-@dataclass(frozen=True)
-class FixedSplitAttempt:
-    """Outcome of one fixed-partition-count attempt."""
-
-    solution: SplitSolution | None
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -86,8 +77,8 @@ def _scan(
     n = model.num_layers
     # Plain lists index faster than arrays in the scan below; the model
     # builds each array once, so a scan only copies them out.
-    cpu = model.cpu_costs().tolist()
-    mem = model.mem_costs().tolist()
+    cpu = model.cpu.tolist()
+    mem = model.mem.tolist()
     prefix_cpu = model.prefix_cpu.tolist()
     prefix_mem = model.prefix_mem.tolist()
     cut = cut_traffic_table(model).tolist()
@@ -152,37 +143,6 @@ def _scan(
     return tuple(committed) + (n,), iterations, needed
 
 
-def _check_budget(iterations: int, num_layers: int, num_splits: int) -> None:
-    if iterations > iteration_budget(num_layers, num_splits):
-        raise RuntimeError(
-            f"iteration budget exceeded: {iterations} > "
-            f"{iteration_budget(num_layers, num_splits)}"
-        )
-
-
-def solve_fixed_splits(
-    model: FfnnModel, chain: DeviceChain, num_splits: int
-) -> FixedSplitAttempt:
-    """Greedily place all layers on at most ``num_splits`` devices.
-
-    Returns the splitting points (always ending at the last layer) or None
-    when the greedy scan runs out of devices, plus the loop iteration count.
-    The solution may use fewer than ``num_splits`` partitions when the tail
-    devices are never needed.
-    """
-    limit = max_split_count(model, chain)
-    if not 1 <= num_splits <= limit:
-        raise ValueError(
-            f"num_splits {num_splits} outside 1..{limit} "
-            f"({model.num_layers} layers, {chain.num_devices} devices)"
-        )
-    points, iterations, _ = _scan(model, chain, num_splits)
-    if points is None:
-        return FixedSplitAttempt(solution=None, iterations=iterations)
-    _check_budget(iterations, model.num_layers, num_splits)
-    return FixedSplitAttempt(solution=SplitSolution(points=points), iterations=iterations)
-
-
 def solve(
     model: FfnnModel, chain: DeviceChain, max_splits: int | None = None
 ) -> HeuristicResult:
@@ -204,7 +164,9 @@ def solve(
         )
         return HeuristicResult(solution=None, cost=None, trace=trace)
     kappa = len(points)
-    _check_budget(iterations, model.num_layers, kappa)
+    budget = iteration_budget(model.num_layers, kappa)
+    if iterations > budget:
+        raise RuntimeError(f"iteration budget exceeded: {iterations} > {budget}")
     solution = SplitSolution(points=points)
     trace = HeuristicTrace(
         kappa_attempted=tuple(range(1, kappa + 1)),

@@ -1,26 +1,28 @@
 """Core data model for chain-partitioned feed-forward networks.
 
-A feed-forward model is an ordered list of layers plus its traffic, stored
-as three row-major edge arrays: edge ``e`` sends ``bits[e]`` from layer
-``src[e] + 1`` to layer ``dst[e] + 1`` (0-based positions in the arrays,
-1-based layer indices everywhere else).  A valid model's edges point forward
-(``src < dst``), the sparse form of a strictly upper-triangular traffic
-matrix; only nonzero entries are stored, so loading, saving, validating and
-building the cut table each cost O(n + E) for n layers and E edges, and no
-n x n matrix is ever built.  A device chain is an ordered list of devices
-connected by point-to-point links, the first device being the one that owns
-the input data.
+A feed-forward model is an ordered chain of layers, stored as arrays: the
+per-layer cpu costs ``cpu``, memory costs ``mem`` and optional ``names``,
+plus its traffic as three row-major edge arrays: edge ``e`` sends
+``bits[e]`` from layer ``src[e] + 1`` to layer ``dst[e] + 1`` (0-based
+positions in the arrays, 1-based layer indices everywhere else).  A valid
+model's edges point forward (``src < dst``), the sparse form of a strictly
+upper-triangular traffic matrix; only nonzero entries are stored, so
+loading, saving, validating and building the cut table each cost O(n + E)
+for n layers and E edges, and no per-layer object or n x n matrix is ever
+built.  A device chain is an ordered list of devices connected by
+point-to-point links, the first device being the one that owns the input
+data.
 
 A split solution is a strictly increasing vector of layer indices
 ``x = [x_1, ..., x_k]`` with ``x_k`` equal to the number of layers; device
 ``t`` hosts the contiguous layer block ``x_{t-1}+1 .. x_t``.
 
 All types are immutable after construction.  Constructors reject only
-structurally unusable data (mismatched edge arrays, out-of-range or repeated
-edges, NaN capacities, non-positive link rates);
-value-level checks live in :func:`validate_model` and :func:`validate_chain`
-so that questionable inputs can be loaded and reported instead of raised at
-parse time.
+structurally unusable data (cost and name arrays of different lengths,
+mismatched edge arrays, out-of-range or repeated edges, NaN capacities,
+non-positive link rates); value-level checks live in :func:`validate_model`
+and :func:`validate_chain` so that questionable inputs can be loaded and
+reported instead of raised at parse time.
 """
 
 from __future__ import annotations
@@ -32,37 +34,40 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LayerProfile:
-    """One layer: 1-based position plus normalized resource costs."""
-
-    index: int
-    cpu_cost: float
-    mem_cost: float
-    name: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class FfnnModel:
-    """An ordered layer chain together with its inter-layer traffic edges.
+    """An ordered layer chain: per-layer cost arrays plus traffic edges.
 
-    Edge ``e`` carries ``bits[e]`` from layer ``src[e] + 1`` to layer
-    ``dst[e] + 1`` (the arrays hold 0-based positions).  The constructor
-    sorts the edges row-major (by ``src``, then ``dst``), drops zero entries
-    (``-0.0`` included; NaN is kept) and stores read-only copies.  It raises
-    ``ValueError`` only for structure: arrays of different lengths, indices
+    Layer ``i + 1`` costs ``cpu[i]`` cpu and ``mem[i]`` memory and is called
+    ``names[i]`` (None when unnamed).  Edge ``e`` carries ``bits[e]`` from
+    layer ``src[e] + 1`` to layer ``dst[e] + 1`` (the arrays hold 0-based
+    positions).  The constructor fills omitted names with None, sorts the
+    edges row-major (by ``src``, then ``dst``), drops zero entries (``-0.0``
+    included; NaN is kept) and stores read-only float64 copies of the costs
+    and read-only copies of the edge arrays.  It raises ``ValueError`` only
+    for structure: cost, name or edge arrays of different lengths, indices
     outside ``0..n-1`` or a repeated ``(src, dst)`` pair.  Without edge
     arrays the model has no traffic.
     """
 
-    layers: tuple[LayerProfile, ...]
+    cpu: np.ndarray
+    mem: np.ndarray
+    names: tuple[str | None, ...] | None = None
     src: np.ndarray = ()
     dst: np.ndarray = ()
     bits: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        n = len(self.layers)
+        cpu = np.array(self.cpu, dtype=np.float64).reshape(-1)
+        mem = np.array(self.mem, dtype=np.float64).reshape(-1)
+        n = len(cpu)
+        names = (None,) * n if self.names is None else tuple(self.names)
+        if not len(mem) == len(names) == n:
+            raise ValueError(
+                f"layer arrays differ in length: cpu {n}, mem {len(mem)}, "
+                f"names {len(names)}"
+            )
+        object.__setattr__(self, "names", names)
         src = _index_array(self.src, "src")
         dst = _index_array(self.dst, "dst")
         bits = np.array(self.bits, dtype=np.float64).reshape(-1)
@@ -90,26 +95,27 @@ class FfnnModel:
             if not bits.all():  # NaN counts as nonzero, -0.0 does not
                 keep = bits != 0.0
                 src, dst, bits = src[keep], dst[keep], bits[keep]
-        for name, array in (("src", src), ("dst", dst), ("bits", bits)):
+        for name, array in (
+            ("cpu", cpu), ("mem", mem), ("src", src), ("dst", dst), ("bits", bits)
+        ):
             object.__setattr__(self, name, _read_only(array))
 
     @classmethod
-    def from_matrix(cls, layers, matrix) -> FfnnModel:
+    def from_matrix(cls, cpu, mem, matrix, names=None) -> FfnnModel:
         """Build a model from a dense matrix: ``matrix[i][j]`` bits from i+1 to j+1."""
-        layers = tuple(layers)
         dense = np.asarray(matrix, dtype=np.float64)
-        n = len(layers)
+        n = len(cpu)
         if dense.shape != (n, n):
             raise ValueError(
                 f"traffic matrix shape {dense.shape} does not match {n} layers"
             )
         # ``np.nonzero`` lists cells row-major; NaN counts as nonzero, -0.0 not.
         src, dst = np.nonzero(dense)
-        return cls(layers=layers, src=src, dst=dst, bits=dense[src, dst])
+        return cls(cpu, mem, names, src=src, dst=dst, bits=dense[src, dst])
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.cpu)
 
     @cached_property
     def cut_table(self) -> np.ndarray:
@@ -133,51 +139,37 @@ class FfnnModel:
         table[-1] = 0.0
         return _read_only(table)
 
-    # Per-layer costs and their prefix sums are built once per model, like
-    # the cut table, and shared read-only by every solver attempt.
-    @cached_property
-    def _cpu_costs(self) -> np.ndarray:
-        return _read_only(np.array([layer.cpu_cost for layer in self.layers]))
-
-    @cached_property
-    def _mem_costs(self) -> np.ndarray:
-        return _read_only(np.array([layer.mem_cost for layer in self.layers]))
-
+    # The cost prefix sums are built once per model, like the cut table, and
+    # shared read-only by every solver attempt.
     @cached_property
     def prefix_cpu(self) -> np.ndarray:
         """``prefix_cpu[p]``: summed cpu cost of layers ``1..p``, left to right."""
-        return _prefix_sums(self._cpu_costs)
+        return _prefix_sums(self.cpu)
 
     @cached_property
     def prefix_mem(self) -> np.ndarray:
         """``prefix_mem[p]``: summed memory cost of layers ``1..p``, left to right."""
-        return _prefix_sums(self._mem_costs)
+        return _prefix_sums(self.mem)
 
     # ``np.add.reduce`` is the reduction ``np.sum`` runs, so the totals
     # equal ``np.sum`` of the cost arrays bit for bit.
     @cached_property
     def cpu_total(self) -> float:
         """Summed cpu cost of all layers, as ``np.sum`` adds them."""
-        return float(np.add.reduce(self._cpu_costs))
+        return float(np.add.reduce(self.cpu))
 
     @cached_property
     def mem_total(self) -> float:
         """Summed memory cost of all layers, as ``np.sum`` adds them."""
-        return float(np.add.reduce(self._mem_costs))
-
-    def cpu_costs(self) -> np.ndarray:
-        """Per-layer cpu costs (read-only, shared)."""
-        return self._cpu_costs
-
-    def mem_costs(self) -> np.ndarray:
-        """Per-layer memory costs (read-only, shared)."""
-        return self._mem_costs
+        return float(np.add.reduce(self.mem))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FfnnModel):
             return NotImplemented
         return (
-            self.layers == other.layers
+            self.names == other.names
+            and np.array_equal(self.cpu, other.cpu)
+            and np.array_equal(self.mem, other.mem)
             and np.array_equal(self.src, other.src)
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.bits, other.bits)
@@ -288,13 +280,14 @@ def validate_model(model: FfnnModel) -> ValidationReport:
     n = model.num_layers
     if n < 1:
         violations.append("model has no layers")
-    for pos, layer in enumerate(model.layers, start=1):
-        if layer.index != pos:
-            violations.append(f"layer at position {pos} carries index {layer.index}")
-        if not 0.0 <= layer.cpu_cost <= 1.0:
-            violations.append(f"layer {pos} cpu_cost {layer.cpu_cost} outside [0, 1]")
-        if not 0.0 < layer.mem_cost <= 1.0:
-            violations.append(f"layer {pos} mem_cost {layer.mem_cost} outside (0, 1]")
+    # NaN fails every comparison, so a NaN cost is reported too.
+    cpu_bad = ~((model.cpu >= 0.0) & (model.cpu <= 1.0))
+    mem_bad = ~((model.mem > 0.0) & (model.mem <= 1.0))
+    for i in np.flatnonzero(cpu_bad | mem_bad).tolist():
+        if cpu_bad[i]:
+            violations.append(f"layer {i + 1} cpu_cost {float(model.cpu[i])} outside [0, 1]")
+        if mem_bad[i]:
+            violations.append(f"layer {i + 1} mem_cost {float(model.mem[i])} outside (0, 1]")
     # The constructor kept only nonzero entries (NaN counts as nonzero, -0.0
     # does not), sorted row-major, so each offending edge is listed in the
     # order a row-by-row scan of the dense matrix would meet it.

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Device, DeviceChain, FfnnModel, LayerProfile
+from .model import Device, DeviceChain, FfnnModel
 
 RAW_PROFILE_VERSION = 1
 MODEL_FORMAT_VERSION = 1
@@ -255,15 +255,9 @@ def normalize(
         cpu_factor=cpu_factor, mem_factor=mem_factor, bandwidth_factor=bandwidth_factor
     )
 
-    layers = tuple(
-        LayerProfile(
-            index=position,
-            cpu_cost=raw.trainable_params / cpu_factor,
-            mem_cost=raw.trainable_params / mem_factor,
-            name=raw.name,
-        )
-        for position, raw in enumerate(raw_layers, start=1)
-    )
+    names = [raw.name for raw in raw_layers]
+    cpu = [raw.trainable_params / cpu_factor for raw in raw_layers]
+    mem = [raw.trainable_params / mem_factor for raw in raw_layers]
     order = {raw.name: position for position, raw in enumerate(raw_layers)}
     src: list[int] = []
     dst: list[int] = []
@@ -272,10 +266,8 @@ def normalize(
         for edge in raw.successors:
             src.append(position)
             dst.append(order[edge.to])
-            bits.append(
-                layers[position].mem_cost if edge.bits is None else edge.bits / mem_factor
-            )
-    model = FfnnModel(layers=layers, src=src, dst=dst, bits=bits)
+            bits.append(mem[position] if edge.bits is None else edge.bits / mem_factor)
+    model = FfnnModel(cpu, mem, names, src=src, dst=dst, bits=bits)
 
     devices = tuple(
         Device(
@@ -302,8 +294,8 @@ def save_model(model: FfnnModel, path: str | Path) -> None:
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "layers": [
-            {"name": layer.name, "cpu_cost": layer.cpu_cost, "mem_cost": layer.mem_cost}
-            for layer in model.layers
+            {"name": name, "cpu_cost": cpu, "mem_cost": mem}
+            for name, cpu, mem in zip(model.names, model.cpu.tolist(), model.mem.tolist())
         ],
         "edges": edges,
     }
@@ -327,7 +319,9 @@ def load_model(path: str | Path) -> FfnnModel:
     )
     rows = payload.get("layers")
     _require(isinstance(rows, list) and rows, "{}: 'layers' must be a non-empty list", path)
-    layers = []
+    names: list[str | None] = []
+    cpu: list[float] = []
+    mem: list[float] = []
     for position, row in enumerate(rows, start=1):
         _require(isinstance(row, dict), "{}: layer {} must be an object", path, position)
         name = row.get("name")
@@ -335,15 +329,10 @@ def load_model(path: str | Path) -> FfnnModel:
             name is None or isinstance(name, str),
             "{}: layer {} name must be a string or null", path, position,
         )
-        layers.append(
-            LayerProfile(
-                index=position,
-                cpu_cost=_number(row.get("cpu_cost"), "{}: layer {} cpu_cost", path, position),
-                mem_cost=_number(row.get("mem_cost"), "{}: layer {} mem_cost", path, position),
-                name=name,
-            )
-        )
-    n = len(layers)
+        names.append(name)
+        cpu.append(_number(row.get("cpu_cost"), "{}: layer {} cpu_cost", path, position))
+        mem.append(_number(row.get("mem_cost"), "{}: layer {} mem_cost", path, position))
+    n = len(names)
     edges = payload.get("edges", [])
     _require(isinstance(edges, list), "{}: 'edges' must be a list", path)
     sources: list[int] = []
@@ -374,7 +363,9 @@ def load_model(path: str | Path) -> FfnnModel:
         bits.append(value)
     try:
         return FfnnModel(
-            layers=tuple(layers),
+            cpu,
+            mem,
+            names,
             src=np.array(sources, dtype=np.intp) - 1,
             dst=np.array(targets, dtype=np.intp) - 1,
             bits=np.array(bits, dtype=np.float64),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, heuristic
-from .model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
+from .model import Device, DeviceChain, FfnnModel, SplitSolution
 
 # A greedy solution may only ever cost at least as much as the optimum;
 # anything below -COST_GAP_TOLERANCE indicates a solver defect.
@@ -125,10 +125,6 @@ def generate_random_model(
         raise ValueError(f"skip_prob must be in [0, 1], got {skip_prob}")
     n = num_layers
     mem = 1.0 - rng.random(n) * 0.99
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=1.0, mem_cost=float(mem[i]))
-        for i in range(n)
-    )
     # One (n, n) draw keeps the random stream as it has always been; only
     # the cells two or more places right of the diagonal can hold a skip.
     edges = rng.random((n, n)) < skip_prob
@@ -136,7 +132,7 @@ def generate_random_model(
     edges &= positions[None, :] > positions[:, None] + 1
     edges[positions[:-1], positions[1:]] = True
     src, dst = np.nonzero(edges)  # row-major, as the model keeps them
-    return FfnnModel(layers=layers, src=src, dst=dst, bits=mem[src])
+    return FfnnModel(cpu=np.ones(n), mem=mem, src=src, dst=dst, bits=mem[src])
 
 
 def generate_device_chain(num_devices: int, model: FfnnModel) -> DeviceChain:
@@ -174,8 +170,8 @@ def footprint_stats(model: FfnnModel, solution: SplitSolution) -> FootprintStats
     # Each share sums its block's slice with ``np.add.reduce``, the reduction
     # ``np.sum`` runs; differences of prefix sums would round differently.
     add = np.add.reduce
-    mem = model.mem_costs()
-    cpu = model.cpu_costs()
+    mem = model.mem
+    cpu = model.cpu
     mem_total = model.mem_total
     cpu_total = model.cpu_total
     mem_shares = []

@@ -9,7 +9,7 @@ import pytest
 from splitplan import scenarios
 from splitplan.cli import MAX_SWEEP_LAYERS, _parse_experiment_config, main
 from splitplan.cost import objective
-from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
+from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
 from splitplan.profiles import load_chain, load_model, save_chain, save_model
 from splitplan.scenarios import generate_device_chain, generate_random_model, iteration_rng
 from splitplan.svgplot import render_sweep
@@ -166,8 +166,7 @@ class TestFootprint:
         assert "reduction: mem 0.0000, cpu 0.0000" in out
 
     def test_unsplittable_model_exits_one(self, capsys, tmp_path):
-        layers = (LayerProfile(index=1, cpu_cost=1.0, mem_cost=1.0),)
-        model = FfnnModel(layers=layers)
+        model = FfnnModel(cpu=[1.0], mem=[1.0])
         chain = DeviceChain(
             devices=(Device(1.0, 0.25), Device(1.0, 0.25)), link_rate=(1.0,)
         )

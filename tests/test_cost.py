@@ -8,18 +8,14 @@ from splitplan.cost import (
     is_feasible,
     objective,
 )
-from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
+from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
 
 
 def make_model(mem_costs, traffic, cpu_costs=None):
     n = len(mem_costs)
     if cpu_costs is None:
         cpu_costs = [1.0] * n
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
-        for i in range(n)
-    )
-    return FfnnModel.from_matrix(layers, traffic)
+    return FfnnModel.from_matrix(cpu_costs, mem_costs, traffic)
 
 
 def make_chain(capacities, rates):
@@ -86,10 +82,8 @@ class TestCutTraffic:
             src = [pairs[k][0] for k in chosen]
             dst = [pairs[k][1] for k in chosen]
             bits = rng.random(count)
-            layers = tuple(
-                LayerProfile(index=i + 1, cpu_cost=1.0, mem_cost=0.5) for i in range(n)
-            )
-            table = cut_traffic_table(FfnnModel(layers=layers, src=src, dst=dst, bits=bits))
+            model = FfnnModel([1.0] * n, [0.5] * n, src=src, dst=dst, bits=bits)
+            table = cut_traffic_table(model)
             for p in range(n + 1):
                 expected = sum(
                     b for i, j, b in zip(src, dst, bits) if i + 1 <= p < j + 1

@@ -7,18 +7,14 @@ import pytest
 from splitplan import exact, heuristic, scenarios
 from splitplan.cost import cut_traffic_table, is_feasible, objective
 from splitplan.exact import EnumerationBudgetExceeded
-from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile, SplitSolution
+from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
 
 
 def make_model(mem_costs, traffic, cpu_costs=None):
     n = len(mem_costs)
     if cpu_costs is None:
         cpu_costs = [1.0] * n
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
-        for i in range(n)
-    )
-    return FfnnModel.from_matrix(layers, traffic)
+    return FfnnModel.from_matrix(cpu_costs, mem_costs, traffic)
 
 
 def make_chain(capacities, rates):
@@ -70,9 +66,9 @@ def reference_fixed_splits(model, chain, num_splits):
     """The DP rerun for one partition count, with an argmin per split position."""
     n = model.num_layers
     prefix_cpu = np.zeros(n + 1)
-    prefix_cpu[1:] = np.cumsum(model.cpu_costs())
+    prefix_cpu[1:] = np.cumsum(model.cpu)
     prefix_mem = np.zeros(n + 1)
-    prefix_mem[1:] = np.cumsum(model.mem_costs())
+    prefix_mem[1:] = np.cumsum(model.mem)
     cut_table = cut_traffic_table(model)
 
     def block_limits(device_index):
@@ -417,7 +413,7 @@ class TestCpuLadderTies:
         traffic[2][3] = 5.0
         model = make_model([0.01] * 4, traffic)
         chain = make_chain([(3.0, 1.0), (2.0, 1.0), (4.0, 1.0)], [1.0, 1.0])
-        greedy = heuristic.solve_fixed_splits(model, chain, 3)
+        greedy = heuristic.solve(model, chain, max_splits=3)
         assert greedy.solution.points == (1, 3, 4)
         assert is_feasible(model, chain, greedy.solution).ok
         dp = exact.solve_fixed_splits(model, chain, 3)
@@ -478,8 +474,8 @@ def block_sum_capacities(rng, model, num_devices):
             cpu = model.prefix_cpu[p] - model.prefix_cpu[q]
             mem = model.prefix_mem[p] - model.prefix_mem[q]
         else:
-            cpu = sum(model.cpu_costs()[q:p].tolist())
-            mem = sum(model.mem_costs()[q:p].tolist())
+            cpu = sum(model.cpu[q:p].tolist())
+            mem = sum(model.mem[q:p].tolist())
         capacities.append((float(cpu), float(mem)))
     return capacities
 

@@ -3,7 +3,7 @@ import pytest
 
 from splitplan import exact, heuristic
 from splitplan.cost import is_feasible
-from splitplan.model import Device, DeviceChain, FfnnModel, LayerProfile
+from splitplan.model import Device, DeviceChain, FfnnModel
 from splitplan.scenarios import generate_device_chain, generate_random_model
 from traffic_views import dense_traffic
 
@@ -12,11 +12,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
     n = len(mem_costs)
     if cpu_costs is None:
         cpu_costs = [1.0] * n
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
-        for i in range(n)
-    )
-    return FfnnModel.from_matrix(layers, traffic)
+    return FfnnModel.from_matrix(cpu_costs, mem_costs, traffic)
 
 
 def make_chain(capacities, rates):
@@ -36,8 +32,8 @@ def reference_rescan(model, chain, num_splits):
     split and every moved layer is re-examined one at a time.  Slower than
     the shipped solver but an independent description of the same policy."""
     n = model.num_layers
-    cpu = [layer.cpu_cost for layer in model.layers]
-    mem = [layer.mem_cost for layer in model.layers]
+    cpu = model.cpu.tolist()
+    mem = model.mem.tolist()
     traffic = dense_traffic(model).tolist()
     cut = [0.0] + [brute_cut(traffic, p) for p in range(1, n + 1)]
     committed = []
@@ -101,24 +97,29 @@ def random_instance(rng, max_layers=14, max_devices=5):
 
 
 class TestSolveFixedSplits:
+    """``solve`` with ``max_splits=k``: the greedy scan on at most k devices.
+
+    Its plan is that scan's plan, and the scan's iteration count is the last
+    entry of the trace's ``while_iterations``."""
+
     def test_everything_fits_the_first_device(self):
         model = make_model([0.25] * 4, np.zeros((4, 4)))
         chain = make_chain([(4.0, 1.0), (4.0, 1.0)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 1)
+        got = heuristic.solve(model, chain, max_splits=1)
         assert got.solution.points == (4,)
-        assert got.iterations == 4
+        assert got.trace.while_iterations[-1] == 4
 
     def test_two_layer_forced_split(self):
         traffic = [[0.0, 1.0], [0.0, 0.0]]
         model = make_model([0.6, 0.6], traffic)
         chain = make_chain([(4.0, 0.6), (4.0, 1.2)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 2)
+        got = heuristic.solve(model, chain, max_splits=2)
         assert got.solution.points == (1, 2)
 
     def test_single_device_out_of_memory(self):
         model = make_model([0.6, 0.6], np.zeros((2, 2)))
         chain = make_chain([(4.0, 0.6)], [])
-        got = heuristic.solve_fixed_splits(model, chain, 1)
+        got = heuristic.solve(model, chain, max_splits=1)
         assert got.solution is None
 
     def test_backtracks_to_the_cheapest_recorded_cut(self):
@@ -131,7 +132,7 @@ class TestSolveFixedSplits:
         traffic[2][3] = 10.0
         model = make_model([0.25] * 4, traffic)
         chain = make_chain([(4.0, 0.75), (4.0, 1.0)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 2)
+        got = heuristic.solve(model, chain, max_splits=2)
         assert got.solution.points == (3, 4)
         expected = min(range(1, 4), key=lambda p: brute_cut(traffic.tolist(), p))
         assert got.solution.points[0] == expected
@@ -143,7 +144,7 @@ class TestSolveFixedSplits:
         traffic[2][3] = 5.0
         model = make_model([0.25] * 4, traffic)
         chain = make_chain([(4.0, 0.75), (4.0, 1.0)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 2)
+        got = heuristic.solve(model, chain, max_splits=2)
         # Cuts after layers 1 and 2 both forward 2 bits; the later one wins.
         assert got.solution.points == (2, 4)
 
@@ -158,7 +159,7 @@ class TestSolveFixedSplits:
         chain = make_chain(
             [(4.0, 0.75), (4.0, 0.25), (4.0, 1.0)], [1.0, 1.0]
         )
-        got = heuristic.solve_fixed_splits(model, chain, 3)
+        got = heuristic.solve(model, chain, max_splits=3)
         assert got.solution is not None
         assert list(got.solution.points) == reference_rescan(model, chain, 3)
         assert is_feasible(model, chain, got.solution).ok
@@ -166,7 +167,7 @@ class TestSolveFixedSplits:
     def test_first_layer_too_big_for_first_device(self):
         model = make_model([0.9, 0.1], np.zeros((2, 2)))
         chain = make_chain([(4.0, 0.5), (4.0, 2.0)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 2)
+        got = heuristic.solve(model, chain, max_splits=2)
         assert got.solution is None
 
     def test_a_device_that_fits_nothing_fails_the_attempt(self):
@@ -174,22 +175,20 @@ class TestSolveFixedSplits:
         # empty block for it is never allowed.
         model = make_model([0.5, 0.5, 0.5], np.zeros((3, 3)))
         chain = make_chain([(4.0, 1.0), (4.0, 0.25), (4.0, 2.0)], [1.0, 1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 3)
+        got = heuristic.solve(model, chain, max_splits=3)
         assert got.solution is None
 
     def test_may_use_fewer_partitions_than_allowed(self):
         model = make_model([0.25] * 4, np.zeros((4, 4)))
         chain = make_chain([(4.0, 1.0), (4.0, 1.0)], [1.0])
-        got = heuristic.solve_fixed_splits(model, chain, 2)
+        got = heuristic.solve(model, chain, max_splits=2)
         assert got.solution.points == (4,)
 
     def test_rejects_out_of_range_num_splits(self):
         model = make_model([0.5] * 3, np.zeros((3, 3)))
         chain = make_chain([(4.0, 9.0), (4.0, 9.0)], [1.0])
         with pytest.raises(ValueError):
-            heuristic.solve_fixed_splits(model, chain, 0)
-        with pytest.raises(ValueError):
-            heuristic.solve_fixed_splits(model, chain, 3)
+            heuristic.solve(model, chain, max_splits=0)
 
 
 class TestAgainstReferenceRescan:
@@ -200,7 +199,7 @@ class TestAgainstReferenceRescan:
             model, chain = random_instance(rng)
             limit = min(model.num_layers, chain.num_devices)
             for kappa in range(1, limit + 1):
-                got = heuristic.solve_fixed_splits(model, chain, kappa)
+                got = heuristic.solve(model, chain, max_splits=kappa)
                 expected = reference_rescan(model, chain, kappa)
                 if expected is None:
                     assert got.solution is None
@@ -314,17 +313,18 @@ class TestIterationAccounting:
 
 
 def reference_solve(model, chain, max_splits=None):
-    """The per-count loop ``solve`` once ran: one scan per partition count,
-    smallest first, returning the first scan that places every layer."""
+    """The per-count loop ``solve`` once ran: one scan per partition count
+    (``solve`` limited to that count), smallest first, returning the first
+    scan that places every layer."""
     limit = min(model.num_layers, chain.num_devices)
     if max_splits is not None:
         limit = min(limit, max_splits)
     attempted = []
     iteration_counts = []
     for num_splits in range(1, limit + 1):
-        attempt = heuristic.solve_fixed_splits(model, chain, num_splits)
+        attempt = heuristic.solve(model, chain, max_splits=num_splits)
         attempted.append(num_splits)
-        iteration_counts.append(attempt.iterations)
+        iteration_counts.append(attempt.trace.while_iterations[-1])
         if attempt.solution is not None:
             trace = heuristic.HeuristicTrace(
                 kappa_attempted=tuple(attempted),
@@ -350,12 +350,8 @@ def fractional_instance(rng):
     num_devices = int(rng.integers(1, 8))
     mem = 1.0 - rng.random(n) * 0.99
     cpu = rng.uniform(0.05, 0.85, n)
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=float(cpu[i]), mem_cost=float(mem[i]))
-        for i in range(n)
-    )
     src, dst = np.nonzero(np.triu(rng.random((n, n)) < 0.4, k=1))
-    model = FfnnModel(layers=layers, src=src, dst=dst, bits=rng.random(len(src)))
+    model = FfnnModel(cpu, mem, src=src, dst=dst, bits=rng.random(len(src)))
     capacities = [
         (
             float(rng.uniform(0.4, 4.0) * cpu.sum() / num_devices),

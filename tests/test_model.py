@@ -5,7 +5,6 @@ from splitplan.model import (
     Device,
     DeviceChain,
     FfnnModel,
-    LayerProfile,
     SplitSolution,
     max_split_count,
     partition,
@@ -18,13 +17,9 @@ def make_model(mem_costs, traffic=None, cpu_costs=None):
     n = len(mem_costs)
     if cpu_costs is None:
         cpu_costs = [1.0] * n
-    layers = tuple(
-        LayerProfile(index=i + 1, cpu_cost=cpu_costs[i], mem_cost=mem_costs[i])
-        for i in range(n)
-    )
     if traffic is None:
         traffic = np.zeros((n, n))
-    return FfnnModel.from_matrix(layers, traffic)
+    return FfnnModel.from_matrix(cpu_costs, mem_costs, traffic)
 
 
 class TestSplitSolution:
@@ -106,9 +101,44 @@ class TestFfnnModel:
         assert a != c
 
     def test_cost_arrays(self):
-        model = make_model([0.25, 0.75], cpu_costs=[0.5, 1.0])
-        assert model.cpu_costs().tolist() == [0.5, 1.0]
-        assert model.mem_costs().tolist() == [0.25, 0.75]
+        # Read-only float64 copies of whatever sequences were passed in.
+        cpu = [0.5, 1]
+        mem = np.array([0.25, 0.75])
+        model = FfnnModel(cpu, mem)
+        mem[0] = 9.0
+        assert model.cpu.tolist() == [0.5, 1.0]
+        assert model.mem.tolist() == [0.25, 0.75]
+        for array in (model.cpu, model.mem):
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_names_default_to_none(self):
+        assert FfnnModel([1.0, 1.0], [0.5, 0.5]).names == (None, None)
+        named = FfnnModel([1.0, 1.0], [0.5, 0.5], ["in", None])
+        assert named.names == ("in", None)
+        assert named.num_layers == 2
+
+    @pytest.mark.parametrize(
+        "cpu, mem, names",
+        [
+            ([1.0, 1.0], [0.5], None),
+            ([1.0], [0.5, 0.5], None),
+            ([1.0, 1.0], [0.5, 0.5], ["only"]),
+            ([1.0], [0.5], ["a", "b"]),
+        ],
+    )
+    def test_layer_arrays_of_different_lengths_raise(self, cpu, mem, names):
+        with pytest.raises(ValueError, match="layer arrays differ in length"):
+            FfnnModel(cpu, mem, names)
+
+    def test_equality_covers_costs_and_names(self):
+        base = FfnnModel([1.0, 1.0], [0.5, 0.5], ["a", "b"])
+        assert base == FfnnModel([1.0, 1.0], [0.5, 0.5], ["a", "b"])
+        assert base != FfnnModel([1.0, 1.0], [0.5, 0.5], ["a", "c"])
+        assert base != FfnnModel([1.0, 1.0], [0.5, 0.5])
+        assert base != FfnnModel([1.0, 0.5], [0.5, 0.5], ["a", "b"])
+        assert base != FfnnModel([1.0, 1.0], [0.5, 0.25], ["a", "b"])
 
     def test_prefix_sums_are_cached_left_to_right_sums(self):
         cpu = [0.1, 0.2, 0.3, 0.7]
@@ -134,17 +164,18 @@ class TestFfnnModel:
             assert model.cpu_total is cpu_total
             assert model.mem_total is mem_total
             assert type(cpu_total) is float and type(mem_total) is float
-            assert cpu_total == float(np.sum(model.cpu_costs()))
-            assert mem_total == float(np.sum(model.mem_costs()))
+            assert cpu_total == float(np.sum(model.cpu))
+            assert mem_total == float(np.sum(model.mem))
 
 
 class TestEdgeArrays:
-    LAYERS = tuple(LayerProfile(index=i + 1, cpu_cost=0.5, mem_cost=0.5) for i in range(4))
+    COSTS = [0.5] * 4
 
     def test_edges_are_sorted_row_major_and_zeros_dropped(self):
         nan = float("nan")
         model = FfnnModel(
-            layers=self.LAYERS,
+            self.COSTS,
+            self.COSTS,
             src=[2, 0, 1, 0, 0, 1, 3],
             dst=[3, 3, 2, 1, 2, 3, 0],
             bits=[5.0, 4.0, -0.0, 1.0, 0.0, nan, 2.0],
@@ -155,20 +186,20 @@ class TestEdgeArrays:
         assert np.isnan(model.bits[2])
 
     def test_edge_order_does_not_change_the_model(self):
-        a = FfnnModel(layers=self.LAYERS, src=[0, 1, 0], dst=[1, 3, 2], bits=[1.0, 2.0, 3.0])
-        b = FfnnModel(layers=self.LAYERS, src=[1, 0, 0], dst=[3, 2, 1], bits=[2.0, 3.0, 1.0])
+        a = FfnnModel(self.COSTS, self.COSTS, src=[0, 1, 0], dst=[1, 3, 2], bits=[1.0, 2.0, 3.0])
+        b = FfnnModel(self.COSTS, self.COSTS, src=[1, 0, 0], dst=[3, 2, 1], bits=[2.0, 3.0, 1.0])
         matrix = np.zeros((4, 4))
         matrix[0, 1], matrix[1, 3], matrix[0, 2] = 1.0, 2.0, 3.0
-        assert a == b == FfnnModel.from_matrix(self.LAYERS, matrix)
+        assert a == b == FfnnModel.from_matrix(self.COSTS, self.COSTS, matrix)
 
     def test_inputs_are_copied(self):
         bits = np.array([1.0, 2.0])
-        model = FfnnModel(layers=self.LAYERS, src=[0, 1], dst=[1, 2], bits=bits)
+        model = FfnnModel(self.COSTS, self.COSTS, src=[0, 1], dst=[1, 2], bits=bits)
         bits[0] = 9.0
         assert model.bits.tolist() == [1.0, 2.0]
 
     def test_no_edges_means_no_traffic(self):
-        model = FfnnModel(layers=self.LAYERS)
+        model = FfnnModel(self.COSTS, self.COSTS)
         assert model.cut_table.tolist() == [0.0] * 5
         assert validate_model(model).ok
 
@@ -185,19 +216,19 @@ class TestEdgeArrays:
     )
     def test_structural_errors_raise(self, src, dst, match):
         with pytest.raises(ValueError, match=match):
-            FfnnModel(layers=self.LAYERS, src=src, dst=dst, bits=[1.0] * len(src))
+            FfnnModel(self.COSTS, self.COSTS, src=src, dst=dst, bits=[1.0] * len(src))
 
     def test_a_duplicate_is_an_error_even_with_zero_bits(self):
         with pytest.raises(ValueError, match="duplicate edge"):
-            FfnnModel(layers=self.LAYERS, src=[0, 0], dst=[1, 1], bits=[0.0, 1.0])
+            FfnnModel(self.COSTS, self.COSTS, src=[0, 0], dst=[1, 1], bits=[0.0, 1.0])
 
     def test_mismatched_or_non_integer_arrays_raise(self):
         with pytest.raises(ValueError, match="differ in length"):
-            FfnnModel(layers=self.LAYERS, src=[0, 1], dst=[1], bits=[1.0, 1.0])
+            FfnnModel(self.COSTS, self.COSTS, src=[0, 1], dst=[1], bits=[1.0, 1.0])
         with pytest.raises(ValueError, match="integers"):
-            FfnnModel(layers=self.LAYERS, src=[0.0], dst=[1], bits=[1.0])
+            FfnnModel(self.COSTS, self.COSTS, src=[0.0], dst=[1], bits=[1.0])
         with pytest.raises(ValueError, match="integers"):
-            FfnnModel(layers=self.LAYERS, src=[0], dst=[True], bits=[1.0])
+            FfnnModel(self.COSTS, self.COSTS, src=[0], dst=[True], bits=[1.0])
 
 
 class TestValidateModel:
@@ -253,13 +284,17 @@ class TestValidateModel:
         report = validate_model(model)
         assert "layer 1 mem_cost 0.0 outside (0, 1]" in report.violations
 
-    def test_index_mismatch_is_reported(self):
-        layers = (
-            LayerProfile(index=1, cpu_cost=1.0, mem_cost=0.5),
-            LayerProfile(index=3, cpu_cost=1.0, mem_cost=0.5),
+    def test_cost_violations_are_listed_layer_by_layer_cpu_first(self):
+        nan = float("nan")
+        model = make_model([0.5, 0.0, 2.0, nan], cpu_costs=[1.5, 0.5, nan, -0.25])
+        assert validate_model(model).violations == (
+            "layer 1 cpu_cost 1.5 outside [0, 1]",
+            "layer 2 mem_cost 0.0 outside (0, 1]",
+            "layer 3 cpu_cost nan outside [0, 1]",
+            "layer 3 mem_cost 2.0 outside (0, 1]",
+            "layer 4 cpu_cost -0.25 outside [0, 1]",
+            "layer 4 mem_cost nan outside (0, 1]",
         )
-        report = validate_model(FfnnModel(layers=layers))
-        assert "layer at position 2 carries index 3" in report.violations
 
 
 class TestDeviceChain:

@@ -148,8 +148,9 @@ class TestNormalize:
         assert factors.cpu_factor == 600.0
         assert factors.mem_factor == 1000.0
         assert factors.bandwidth_factor == 2.0e6
-        assert list(model.cpu_costs()) == [100 / 600, 300 / 600, 600 / 600]
-        assert list(model.mem_costs()) == [0.1, 0.3, 0.6]
+        assert model.cpu.tolist() == [100 / 600, 300 / 600, 600 / 600]
+        assert model.mem.tolist() == [0.1, 0.3, 0.6]
+        assert model.names == ("a", "b", "c")
 
     def test_single_device_normalizes_itself_to_one(self):
         model, chain, factors = normalize(self.chain3(), [(750.0, 2000.0)], [])
@@ -173,8 +174,8 @@ class TestNormalize:
 
     def test_derive_edges_carry_the_normalized_source_footprint(self):
         model, _, _ = normalize(self.chain3(), [(600.0, 1000.0)], [])
-        assert dense_traffic(model)[0][1] == model.layers[0].mem_cost
-        assert dense_traffic(model)[1][2] == model.layers[1].mem_cost
+        assert dense_traffic(model)[0][1] == model.mem[0]
+        assert dense_traffic(model)[1][2] == model.mem[1]
 
     def test_explicit_bits_divide_by_the_memory_factor(self):
         raw = [
@@ -197,11 +198,11 @@ class TestNormalize:
         capacities = [(313.0, 517.0), (601.0, 997.0)]
         rates = [3.3e6]
         model, chain, factors = normalize(raw, capacities, rates)
-        for layer, source in zip(model.layers, raw):
-            assert layer.cpu_cost * factors.cpu_factor == pytest.approx(
+        for cpu, mem, source in zip(model.cpu, model.mem, raw):
+            assert cpu * factors.cpu_factor == pytest.approx(
                 source.trainable_params, rel=1e-12
             )
-            assert layer.mem_cost * factors.mem_factor == pytest.approx(
+            assert mem * factors.mem_factor == pytest.approx(
                 source.trainable_params, rel=1e-12
             )
         for device, (cpu, mem) in zip(chain.devices, capacities):
@@ -240,11 +241,13 @@ class TestNormalize:
 
 class TestCanonicalFiles:
     def test_model_round_trip_is_bit_identical(self, tmp_path):
+        # Generated models carry no names: null names load back as None.
         model = generate_random_model(12, 0.5, iteration_rng(21, 0))
         first = tmp_path / "model.json"
         second = tmp_path / "model2.json"
         save_model(model, first)
         loaded = load_model(first)
+        assert loaded.names == (None,) * 12
         assert loaded == model
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
@@ -329,7 +332,9 @@ class TestCanonicalFiles:
         model, _, _ = normalize(raw, [(70.0, 70.0)], [])
         path = tmp_path / "named.json"
         save_model(model, path)
-        assert [layer.name for layer in load_model(path).layers] == ["stem", "head"]
+        loaded = load_model(path)
+        assert loaded.names == ("stem", "head")
+        assert loaded == model
 
     def test_full_pipeline_round_trip(self, tmp_path):
         profile_path = write_profile(tmp_path, linear_layers([100, 300, 600]))

@@ -14,6 +14,17 @@ A split is feasible when every device can host its block: the block's summed
 cpu cost and its summed memory cost each stay within the device's capacity
 for that resource.  Both resources are budgets, like the shares
 ``scenarios.footprint_stats`` reports, not per-layer limits.
+
+Every solver applies one block-fit rule, on the model's cached prefix sums:
+block ``q+1..p`` fits capacity ``c`` iff ``prefix[q] >=
+block_threshold(prefix[p], c)``.  ``is_feasible`` tests it per block, the
+DP searches it for the first ``q`` of each ``p`` and the greedy for the last
+``p`` of each ``q``; all compare the same two floats, so they agree also when
+a capacity sits exactly on a block's sum.  ``prefix[p] - prefix[q] <= c``
+would round a difference per pair, which one search over a stack of prefix
+rows cannot reproduce without a fix-up step.  The rule is off from exact
+sums by one rounding of the threshold: on costs 1.0 and 1.0 the second
+layer fits ``nextafter(1.0, 0)``, as ``2.0`` minus it rounds to ``1.0``.
 """
 
 from __future__ import annotations
@@ -82,42 +93,43 @@ def objective(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> CostBre
     return CostBreakdown(boundary_terms=tuple(terms), total=total)
 
 
+def block_threshold(prefix_end, capacity):
+    """The least prefix sum a block ending at ``prefix_end`` may start from.
+
+    Block ``q+1..p`` fits capacity ``c`` iff ``prefix[q] >=
+    block_threshold(prefix[p], c)``.  Works elementwise on arrays.
+    """
+    return prefix_end - capacity
+
+
 def is_feasible(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> FeasibilityResult:
     """Check the per-device capacity constraints for a split solution.
 
-    Device ``t`` can host its layer block iff the block's summed cpu cost
-    stays within ``cpu_capacity`` and its summed memory cost stays within
-    ``mem_capacity``; both bounds are inclusive.
+    Device ``t`` can host its layer block iff the block fits its
+    ``cpu_capacity`` and its ``mem_capacity`` by the block-fit rule.
     """
     if x.kappa > chain.num_devices:
         raise ValueError(
             f"solution uses {x.kappa} devices but the chain has {chain.num_devices}"
         )
     blocks = partition(x, model.num_layers)
-    cpu = model.cpu.tolist()
-    mem = model.mem.tolist()
+    prefix_cpu = model.prefix_cpu.tolist()
+    prefix_mem = model.prefix_mem.tolist()
     for t, block in enumerate(blocks, start=1):
         device = chain.devices[t - 1]
-        total_cpu = sum(cpu[block.start - 1 : block.stop - 1])
-        if total_cpu > device.cpu_capacity:
-            return FeasibilityResult(
-                ok=False,
-                device=t,
-                constraint="cpu",
-                detail=(
-                    f"device {t}: total cpu cost {total_cpu} exceeds "
-                    f"capacity {device.cpu_capacity}"
-                ),
-            )
-        total_mem = sum(mem[block.start - 1 : block.stop - 1])
-        if total_mem > device.mem_capacity:
-            return FeasibilityResult(
-                ok=False,
-                device=t,
-                constraint="mem",
-                detail=(
-                    f"device {t}: total mem cost {total_mem} exceeds "
-                    f"capacity {device.mem_capacity}"
-                ),
-            )
+        q, p = block.start - 1, block.stop - 1
+        for constraint, prefix, capacity in (
+            ("cpu", prefix_cpu, device.cpu_capacity),
+            ("mem", prefix_mem, device.mem_capacity),
+        ):
+            if not prefix[q] >= block_threshold(prefix[p], capacity):
+                return FeasibilityResult(
+                    ok=False,
+                    device=t,
+                    constraint=constraint,
+                    detail=(
+                        f"device {t}: total {constraint} cost {prefix[p] - prefix[q]} "
+                        f"exceeds capacity {capacity}"
+                    ),
+                )
     return FeasibilityResult(ok=True)

@@ -5,9 +5,9 @@ cheapest feasible split for every partition count at once: after the step
 for device ``t`` its entry for the last layer is the optimum with exactly
 ``t`` partitions, because no step depends on how many partitions are asked
 for.  A block is feasible on a device when its summed cpu and memory costs
-both fit the device, the rule ``cost.is_feasible`` applies to whole
-solutions.  Chains-on-chains partitioning, Bokhari, IEEE Trans. Computers
-1988.
+both fit the device, by the one block-fit rule of ``cost``, which
+``cost.is_feasible`` applies to whole solutions.  Chains-on-chains
+partitioning, Bokhari, IEEE Trans. Computers 1988.
 
 The program runs over a stack of B instances of one shape at once: ``(B,
 n + 1)`` prefix sums and cut tables, ``(B, d)`` capacities and ``(B, d -
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import cut_traffic_table, is_feasible, objective
+from .cost import block_threshold, cut_traffic_table, is_feasible, objective
 from .model import DeviceChain, FfnnModel, SplitSolution, max_split_count
 
 
@@ -81,8 +81,10 @@ def _block_limit_search(prefixes: np.ndarray) -> Callable[[np.ndarray], np.ndarr
     resource and instance.  Returns ``limits(capacities)``, which maps the
     ``(R, B)`` capacities of one device to the ``(B, n + 1)`` array whose
     entry ``[b, p]`` is the smallest q whose block ``q+1..p`` fits: the
-    largest over the resources of ``searchsorted(prefix, prefix[p] -
-    capacity, "left")`` on the row.  One search covers every row: the keys
+    largest over the resources of ``searchsorted(prefix,
+    block_threshold(prefix[p], capacity), "left")`` on the row, the first q
+    with ``prefix[q] >= block_threshold(prefix[p], capacity)``, which is
+    ``cost``'s block-fit rule.  One search covers every row: the keys
     are ``row + 1j * prefix``, which numpy orders lexicographically, so each
     query lands in its own row exactly as a search of that row alone would.
     """
@@ -96,7 +98,7 @@ def _block_limit_search(prefixes: np.ndarray) -> Callable[[np.ndarray], np.ndarr
     queries.real = row
 
     def limits(capacities: np.ndarray) -> np.ndarray:
-        queries.imag = prefixes - capacities[..., None]
+        queries.imag = block_threshold(prefixes, capacities[..., None])
         found = np.searchsorted(keys, queries.reshape(-1), "left").reshape(prefixes.shape)
         return (found - row * width).max(axis=0)
 

@@ -1,32 +1,38 @@
 """Greedy split planner with cheapest-cut backtracking.
 
-The greedy scan fills devices in chain order: layers are accepted onto the
-current device while its summed cpu and memory loads stay within its
-capacities, and the boundary cost of every accepted position is remembered.
-When a layer no longer fits, the split for the current device is committed
-at the recorded position with the cheapest boundary traffic (ties pick the
-latest position), and the layers accepted after that position move to the
-next device, which re-checks them against its own capacities; if they
-overflow it the commit-and-move step cascades down the chain.  The scan
-pointer never moves backwards, so the loop body runs at most
-``num_layers + num_splits - 1`` times per scan.
+The greedy fills devices in chain order.  Device ``t``'s block starts at
+layer ``s`` and reaches ``e``, the last layer whose block ``s..e`` fits the
+device by ``cost``'s block-fit rule: one binary search per resource over
+the model's cached prefix sums.  If ``e`` ends the model the plan is
+complete; if ``e < s`` or no device is left there is none.  Otherwise the
+split for device ``t`` goes to the cheapest cut in ``s..e`` (ties pick the
+latest), and the next block starts right after it.  This is the
+chains-on-chains "probe" (Pinar and Aykanat, JPDC 2004) with a cheapest-cut
+backtrack: one block search and one range minimum per device.
+
+The trace counts the loop iterations of the layer-by-layer scan that places
+the same splits: it accepts layers while they fit, commits the cheapest cut
+on the first that does not, moves the layers after the cut to the next
+device (cascading while they overflow it) and retries that layer.  Every
+layer is accepted once, and a device whose block reaches the layer the scan
+is stuck at adds one failed check, at the layer after its block, unless it
+ends the model.  That is at most ``num_layers + num_splits - 1`` iterations.
 
 ``solve`` prefers the smallest partition count whose scan places every
 layer, because every extra boundary can only add transfer time.  A scan
 limited to ``k`` devices runs exactly like an unlimited one until it first
-needs device ``k + 1``, and stops there.  So ``solve`` scans once at the
-largest usable count and records the iteration at which each further device
-was first needed.  The first count whose scan succeeds is the number of
-devices that one scan used, and its plan is that scan's plan.  The recorded
-iterations are each smaller count's iterations, so the trace still reports
-every count ``1, 2, ...`` as if each had been scanned on its own.
+needs device ``k + 1``, and stops there.  So ``solve`` runs the greedy once
+at the largest usable count and records the iteration at which each further
+device was first needed; those are the smaller counts' iterations, and the
+first count whose scan succeeds is the number of devices that run used.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .cost import CostBreakdown, cut_traffic_table, objective
+from .cost import CostBreakdown, block_threshold, cut_traffic_table, objective
 from .model import DeviceChain, FfnnModel, SplitSolution, max_split_count
 
 
@@ -64,89 +70,61 @@ def total_iteration_budget(num_layers: int, max_splits: int) -> int:
     return (max_splits * max_splits + (2 * num_layers - 1) * max_splits) // 2
 
 
+def _block_end(prefix: list[float], q: int, capacity: float) -> int:
+    """The last p whose block ``q+1..p`` fits ``capacity``, by ``cost``'s rule."""
+    return bisect_right(prefix, prefix[q], q, key=lambda v: block_threshold(v, capacity)) - 1
+
+
 def _scan(
     model: FfnnModel, chain: DeviceChain, num_splits: int
 ) -> tuple[tuple[int, ...] | None, int, list[int]]:
-    """The greedy scan on at most ``num_splits`` devices.
+    """The greedy on at most ``num_splits`` devices, one block search each.
 
-    Returns the splitting points (None when the scan runs out of devices),
-    the loop iteration count, and ``needed``: ``needed[k - 1]`` is the
+    Returns the splitting points (None when the greedy runs out of devices),
+    the scan's loop iteration count, and ``needed``: ``needed[k - 1]`` is the
     iteration count at which the scan first needed device ``k + 1``, which
     is where the same scan limited to ``k`` devices stops.
     """
     n = model.num_layers
-    # Plain lists index faster than arrays in the scan below; the model
-    # builds each array once, so a scan only copies them out.
-    cpu = model.cpu.tolist()
-    mem = model.mem.tolist()
+    # Plain lists index faster than arrays in the searches below.
     prefix_cpu = model.prefix_cpu.tolist()
     prefix_mem = model.prefix_mem.tolist()
     cut = cut_traffic_table(model).tolist()
-    cpu_cap = [d.cpu_capacity for d in chain.devices]
-    mem_cap = [d.mem_capacity for d in chain.devices]
-
-    committed: list[int] = []
     needed: list[int] = []
-    device = 1  # 1-based index of the device being filled
-    block_start = 1  # first layer of that device's block
-    accepted = 0  # last layer accepted on it (0 = none yet)
-    cpu_load = 0.0  # its running cpu load
-    mem_load = 0.0  # its running memory load
-    layer = 1
-    iterations = 0
-
-    while layer <= n:
-        iterations += 1
-        if (
-            cpu_load + cpu[layer - 1] <= cpu_cap[device - 1]
-            and mem_load + mem[layer - 1] <= mem_cap[device - 1]
-        ):
-            accepted = layer
-            cpu_load += cpu[layer - 1]
-            mem_load += mem[layer - 1]
-            layer += 1
-            continue
-        # The layer does not fit: commit a split for this device and move the
-        # overhang to the next one, cascading while the overhang overflows.
-        while True:
-            needed.append(iterations)
-            if device + 1 > num_splits:
-                return None, iterations, needed
-            if accepted < block_start:
-                # Nothing was ever accepted here; committing now would leave
-                # the device without layers, which no valid split allows.
-                return None, iterations, needed
-            best = block_start
-            for p in range(block_start + 1, accepted + 1):
-                if cut[p] <= cut[best]:
-                    best = p
-            committed.append(best)
-            device += 1
-            block_start = best + 1
-            # Layers best+1 .. layer-1 move onto the new device.
-            accepted = best
-            overflowed = False
-            for p in range(best + 1, layer):
-                if (
-                    prefix_cpu[p] - prefix_cpu[best] > cpu_cap[device - 1]
-                    or prefix_mem[p] - prefix_mem[best] > mem_cap[device - 1]
-                ):
-                    overflowed = True
-                    break
-                accepted = p
-            cpu_load = prefix_cpu[accepted] - prefix_cpu[best]
-            mem_load = prefix_mem[accepted] - prefix_mem[best]
-            if not overflowed:
-                break
-        # Retry the same layer on the device the cascade settled on.
-
-    return tuple(committed) + (n,), iterations, needed
+    points: list[int] = []
+    start = 1  # first layer of the current device's block
+    overflow = 1  # the layer the scan is stuck at
+    failed = 0  # failed fit checks so far
+    for device in chain.devices[:num_splits]:
+        end = min(
+            _block_end(prefix_cpu, start - 1, device.cpu_capacity),
+            _block_end(prefix_mem, start - 1, device.mem_capacity),
+        )
+        if end == n:
+            return tuple(points) + (n,), n + failed, needed
+        if end + 1 >= overflow:
+            # The cascade settled here: the scan accepts up to ``end`` and
+            # fails once more, at layer ``end + 1``.
+            failed += 1
+            overflow = end + 1
+        needed.append(overflow - 1 + failed)
+        if end < start or len(needed) == num_splits:
+            return None, needed[-1], needed
+        # The rightmost cheapest cut in ``start..end``.
+        best = min(range(end, start - 1, -1), key=cut.__getitem__)
+        points.append(best)
+        start = best + 1
+    # Only a model without layers, whose usable count is 0, gets here.
+    return None, 0, needed
 
 
 def solve(
     model: FfnnModel, chain: DeviceChain, max_splits: int | None = None
 ) -> HeuristicResult:
-    """Return the greedy plan with the fewest partitions, from one scan."""
+    """Return the greedy plan with the fewest partitions, from one run.
+
+    A model without layers gets no solution and an empty trace.
+    """
     limit = max_split_count(model, chain)
     if max_splits is not None:
         if max_splits < 1:

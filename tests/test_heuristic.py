@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitplan import exact, heuristic
-from splitplan.cost import is_feasible
+from splitplan.cost import cut_traffic_table, is_feasible
 from splitplan.model import Device, DeviceChain, FfnnModel
 from splitplan.scenarios import generate_device_chain, generate_random_model
 from traffic_views import dense_traffic
@@ -421,3 +421,140 @@ class TestSingleScanAgainstPerCountReference:
         assert got.trace.kappa_attempted == (1, 2, 3)
         assert got.trace.while_iterations == (3, 4, 4)
         assert got.trace.outcome == "no-solution"
+
+
+# ``heuristic._scan`` as a layer-by-layer loop with running loads, kept
+# verbatim (only renamed) from before the greedy became one block search
+# per device.  Nothing else checks the closed-form trace against a literal
+# scan.
+def layer_scan(
+    model: FfnnModel, chain: DeviceChain, num_splits: int
+) -> tuple[tuple[int, ...] | None, int, list[int]]:
+    """The greedy scan on at most ``num_splits`` devices.
+
+    Returns the splitting points (None when the scan runs out of devices),
+    the loop iteration count, and ``needed``: ``needed[k - 1]`` is the
+    iteration count at which the scan first needed device ``k + 1``, which
+    is where the same scan limited to ``k`` devices stops.
+    """
+    n = model.num_layers
+    # Plain lists index faster than arrays in the scan below; the model
+    # builds each array once, so a scan only copies them out.
+    cpu = model.cpu.tolist()
+    mem = model.mem.tolist()
+    prefix_cpu = model.prefix_cpu.tolist()
+    prefix_mem = model.prefix_mem.tolist()
+    cut = cut_traffic_table(model).tolist()
+    cpu_cap = [d.cpu_capacity for d in chain.devices]
+    mem_cap = [d.mem_capacity for d in chain.devices]
+
+    committed: list[int] = []
+    needed: list[int] = []
+    device = 1  # 1-based index of the device being filled
+    block_start = 1  # first layer of that device's block
+    accepted = 0  # last layer accepted on it (0 = none yet)
+    cpu_load = 0.0  # its running cpu load
+    mem_load = 0.0  # its running memory load
+    layer = 1
+    iterations = 0
+
+    while layer <= n:
+        iterations += 1
+        if (
+            cpu_load + cpu[layer - 1] <= cpu_cap[device - 1]
+            and mem_load + mem[layer - 1] <= mem_cap[device - 1]
+        ):
+            accepted = layer
+            cpu_load += cpu[layer - 1]
+            mem_load += mem[layer - 1]
+            layer += 1
+            continue
+        # The layer does not fit: commit a split for this device and move the
+        # overhang to the next one, cascading while the overhang overflows.
+        while True:
+            needed.append(iterations)
+            if device + 1 > num_splits:
+                return None, iterations, needed
+            if accepted < block_start:
+                # Nothing was ever accepted here; committing now would leave
+                # the device without layers, which no valid split allows.
+                return None, iterations, needed
+            best = block_start
+            for p in range(block_start + 1, accepted + 1):
+                if cut[p] <= cut[best]:
+                    best = p
+            committed.append(best)
+            device += 1
+            block_start = best + 1
+            # Layers best+1 .. layer-1 move onto the new device.
+            accepted = best
+            overflowed = False
+            for p in range(best + 1, layer):
+                if (
+                    prefix_cpu[p] - prefix_cpu[best] > cpu_cap[device - 1]
+                    or prefix_mem[p] - prefix_mem[best] > mem_cap[device - 1]
+                ):
+                    overflowed = True
+                    break
+                accepted = p
+            cpu_load = prefix_cpu[accepted] - prefix_cpu[best]
+            mem_load = prefix_mem[accepted] - prefix_mem[best]
+            if not overflowed:
+                break
+        # Retry the same layer on the device the cascade settled on.
+
+    return tuple(committed) + (n,), iterations, needed
+
+
+class TestClosedFormAgainstLayerScan:
+    """Points, iteration count and ``needed`` match the literal scan."""
+
+    @staticmethod
+    def assert_same(model, chain):
+        limit = min(model.num_layers, chain.num_devices)
+        for num_splits in range(1, limit + 1):
+            got = heuristic._scan(model, chain, num_splits)
+            assert got == layer_scan(model, chain, num_splits)
+        return got[0] is None
+
+    def test_capacity_ladders(self):
+        failures = 0
+        rng = np.random.default_rng(7003)
+        for n in range(1, 41):
+            for num_devices in range(1, 8):
+                for skip in (0.0, 0.5, 1.0):
+                    model = generate_random_model(n, skip, rng)
+                    failures += self.assert_same(model, generate_device_chain(num_devices, model))
+        assert failures > 50
+
+    def test_fractional_costs_with_random_capacities(self):
+        failures = 0
+        rng = np.random.default_rng(7004)
+        for _ in range(1500):
+            failures += self.assert_same(*fractional_instance(rng))
+        assert failures > 500
+
+    def test_retrying_the_layer_a_cascade_settled_on(self):
+        # Device 2 takes the moved layers 2..3 and no more, so the scan fails
+        # on layer 4 again: a new failed check at the layer it overflowed.
+        traffic = np.zeros((4, 4))
+        traffic[0][1] = 1.0
+        traffic[1][2] = 5.0
+        traffic[2][3] = 5.0
+        model = make_model([0.25] * 4, traffic)
+        chain = make_chain([(4.0, 0.75), (4.0, 0.5), (4.0, 1.0)], [1.0, 1.0])
+        got = heuristic._scan(model, chain, 3)
+        assert got == layer_scan(model, chain, 3)
+        assert got == ((1, 3, 4), 6, [4, 5])
+
+
+class TestZeroLayerModel:
+    def test_both_solvers_find_no_solution(self):
+        model = FfnnModel([], [])
+        chain = make_chain([(1.0, 1.0)], [])
+        got = heuristic.solve(model, chain)
+        assert got.solution is None and got.cost is None
+        assert got.trace == heuristic.HeuristicTrace(
+            kappa_attempted=(), while_iterations=(), outcome="no-solution"
+        )
+        assert exact.solve(model, chain) == exact.ExactResult(per_kappa={}, best=None)

@@ -226,17 +226,19 @@ def optimal_costs(
     prefix_cpu: np.ndarray,
     prefix_mem: np.ndarray,
     cut_table: np.ndarray,
-    chains: Sequence[DeviceChain],
+    capacities: np.ndarray,
+    link_rate: np.ndarray,
 ) -> np.ndarray:
     """Optimal cost of each of B stacked instances of n layers on d devices.
 
     Row b of the ``(B, n + 1)`` arrays holds instance b's cost prefix sums
     and cut table, as ``FfnnModel.prefix_cpu``, ``prefix_mem`` and
-    ``cut_table`` hold them, and ``chains[b]`` is its chain.  Entry b of
-    the result is the cost of ``solve(...).best`` on instance b, bit for
-    bit, or ``inf`` when no partition count is feasible.
+    ``cut_table`` hold them.  Row b of the ``(2, B, d)`` cpu and memory
+    capacities and of the ``(B, d - 1)`` link rates holds its chain, as
+    ``_chain_arrays`` lays chains out.  Entry b of the result is the cost
+    of ``solve(...).best`` on instance b, bit for bit, or ``inf`` when no
+    partition count is feasible.
     """
-    capacities, link_rate = _chain_arrays(chains)
     limit = min(cut_table.shape[1] - 1, capacities.shape[2])
     steps = _steps(np.stack((prefix_cpu, prefix_mem)), cut_table, capacities, link_rate, limit)
     return np.min([best[:, -1].copy() for best, _ in steps], axis=0)

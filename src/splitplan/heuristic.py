@@ -25,12 +25,19 @@ needs device ``k + 1``, and stops there.  So ``solve`` runs the greedy once
 at the largest usable count and records the iteration at which each further
 device was first needed; those are the smaller counts' iterations, and the
 first count whose scan succeeds is the number of devices that run used.
+
+``solve_stack`` runs the same greedy over a stack of instances of one
+shape, one device at a time for all of them, on the arrays
+``exact.optimal_costs`` takes; the sweep uses it.  ``solve`` keeps its
+per-instance searches, which cost less than a stack of one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cost import CostBreakdown, block_threshold, cut_traffic_table, objective
 from .model import DeviceChain, FfnnModel, SplitSolution, max_split_count
@@ -154,3 +161,68 @@ def solve(
     return HeuristicResult(
         solution=solution, cost=objective(model, chain, solution), trace=trace
     )
+
+
+def solve_stack(
+    prefix_cpu: np.ndarray,
+    prefix_mem: np.ndarray,
+    cut_table: np.ndarray,
+    capacities: np.ndarray,
+    link_rate: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve`` on each of B stacked instances of n layers and d devices.
+
+    Takes the arrays ``exact.optimal_costs`` takes: ``(B, n + 1)`` cpu and
+    memory prefix sums and cut tables, ``(2, B, d)`` cpu and memory
+    capacities and ``(B, d - 1)`` link rates.  Each prefix row must not
+    decrease and no capacity may be negative, which holds for every model
+    that passes ``validate_model`` and every chain.  Returns ``(points,
+    kappa, cost)``: instance b's plan is ``points[b, :kappa[b]]`` and costs
+    ``cost[b]``, the ``solution.points`` and ``cost.total`` of ``solve``
+    bit for bit, or ``kappa[b]`` is 0 and ``cost[b]`` inf where ``solve``
+    finds no solution.  ``points`` has ``min(n, d)`` columns.
+    """
+    prefixes = np.stack((prefix_cpu, prefix_mem))
+    rows, width = cut_table.shape
+    n = width - 1
+    limit = min(n, capacities.shape[2])
+    row = np.arange(rows)
+    positions = np.arange(width)
+    points = np.full((rows, limit), n)
+    kappa = np.zeros(rows, dtype=np.intp)
+    cost = np.zeros(rows)
+    start = np.ones(rows, dtype=np.intp)  # first layer of each block
+    overflow = np.ones(rows, dtype=np.intp)  # the layer each scan is stuck at
+    failed = np.zeros(rows, dtype=np.intp)  # failed fit checks so far
+    active = np.ones(rows, dtype=bool)  # rows still placing layers
+    for t in range(limit):
+        # Every p before the block's start fits device t + 1 by the block-fit
+        # rule, and after it the p that fit come first, so the number of p
+        # that fit ends the block: ``_block_end``'s search, by counting.
+        threshold = block_threshold(prefixes, capacities[:, :, t, None])
+        fits = threshold <= prefixes[:, row, start - 1, None]
+        end = fits.sum(axis=2).min(axis=0) - 1
+        done = active & (end == n)
+        kappa[done] = t + 1
+        active &= ~done
+        settled = end + 1 >= overflow
+        failed += active & settled
+        overflow = np.where(settled, end + 1, overflow)
+        active &= (end >= start) & (t < limit - 1)
+        if not active.any():
+            break
+        # The rightmost cheapest cut in ``start..end``: the first minimum
+        # of the reversed row.
+        window = (positions >= start[:, None]) & (positions <= end[:, None])
+        best = n - np.where(window, cut_table, np.inf)[:, ::-1].argmin(axis=1)
+        points[active, t] = best[active]
+        cost[active] += cut_table[row, best][active] / link_rate[active, t]
+        start = np.where(active, best + 1, start)
+    over = (kappa > 0) & (failed > kappa - 1)
+    if over.any():
+        b = np.flatnonzero(over)[0]
+        raise RuntimeError(
+            f"iteration budget exceeded: {n + failed[b]} > {n + kappa[b] - 1}"
+        )
+    cost[kappa == 0] = np.inf
+    return points, kappa, cost

@@ -130,14 +130,9 @@ class FfnnModel:
         result is shared by every later caller.
         """
         n = self.num_layers
-        table = np.zeros(n + 1)
-        table[1:] = np.cumsum(np.bincount(self.src, self.bits, n)) - np.cumsum(
-            np.bincount(self.dst, self.bits, n)
+        return _read_only(
+            cut_tables(np.bincount(self.src, self.bits, n), np.bincount(self.dst, self.bits, n))
         )
-        # Nothing flows past the last layer; pin the identity against float
-        # rounding between the two accumulation orders.
-        table[-1] = 0.0
-        return _read_only(table)
 
     # The cost prefix sums are built once per model, like the cut table, and
     # shared read-only by every solver attempt.
@@ -174,6 +169,22 @@ class FfnnModel:
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.bits, other.bits)
         )
+
+
+def cut_tables(sent: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Cut tables from per-layer traffic totals, one per row of the inputs.
+
+    ``sent[..., i]`` and ``received[..., i]`` total the bits of the edges
+    that start and end at layer ``i + 1``; entry ``p`` of each ``n + 1``
+    result row is the bit count crossing a split after layer ``p``.  Each
+    row is accumulated left to right, as a row of its own would be.
+    """
+    table = np.zeros(sent.shape[:-1] + (sent.shape[-1] + 1,))
+    table[..., 1:] = np.cumsum(sent, axis=-1) - np.cumsum(received, axis=-1)
+    # Nothing flows past the last layer; pin the identity against float
+    # rounding between the two accumulation orders.
+    table[..., -1] = 0.0
+    return table
 
 
 def _index_array(values, label: str) -> np.ndarray:

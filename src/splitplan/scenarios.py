@@ -13,12 +13,15 @@ the greedy scan, offload statistics, and solver wall times.  Every iteration
 derives its own RNG from ``(seed, iteration)``, so results do not depend on
 execution order and work can fan out across processes.  The draw does not
 depend on the device count, so cells that differ only in ``num_devices``
-draw each model once and solve it on each cell's ladder.  The greedy runs
-per instance; the exact solver runs once per cell over a stack of up to
-``EXACT_STACK_SIZE`` instances (``exact.optimal_costs``: block limits from
-one search per device, window minima from a sparse table, O(kappa * n log
-n) per instance), and each instance's exact time is the stack's time over
-its size.
+draw each instance once and solve it on each cell's ladder.  The sweep
+builds no model or chain objects: each draw is reduced at once to its rows
+of cost prefix sums and cut table, and per cell both solvers run once over
+a stack of up to ``EXACT_STACK_SIZE`` instances, the greedy as
+``heuristic.solve_stack`` (one block search and one range minimum per
+device for the whole stack) and the exact solver as
+``exact.optimal_costs`` (block limits from one search per device, window
+minima from a sparse table, O(kappa * n log n) per instance).  Each
+instance's solver times are the stack's times over its size.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, heuristic
-from .model import Device, DeviceChain, FfnnModel, SplitSolution
+from .model import Device, DeviceChain, FfnnModel, SplitSolution, cut_tables
 
 # A greedy solution may only ever cost at least as much as the optimum;
 # anything below -COST_GAP_TOLERANCE indicates a solver defect.
@@ -123,6 +126,18 @@ def generate_random_model(
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     if not 0.0 <= skip_prob <= 1.0:
         raise ValueError(f"skip_prob must be in [0, 1], got {skip_prob}")
+    mem, src, dst = _draw(num_layers, skip_prob, rng)
+    return FfnnModel(cpu=np.ones(num_layers), mem=mem, src=src, dst=dst, bits=mem[src])
+
+
+def _draw(
+    num_layers: int, skip_prob: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One instance's memory costs and row-major edge arrays ``(mem, src, dst)``.
+
+    The random stream of ``generate_random_model``, which adds the unit cpu
+    costs and gives every edge its source's memory cost as bits.
+    """
     n = num_layers
     mem = 1.0 - rng.random(n) * 0.99
     # One (n, n) draw keeps the random stream as it has always been; only
@@ -132,7 +147,7 @@ def generate_random_model(
     edges &= positions[None, :] > positions[:, None] + 1
     edges[positions[:-1], positions[1:]] = True
     src, dst = np.nonzero(edges)  # row-major, as the model keeps them
-    return FfnnModel(cpu=np.ones(n), mem=mem, src=src, dst=dst, bits=mem[src])
+    return mem, src, dst
 
 
 def generate_device_chain(num_devices: int, model: FfnnModel) -> DeviceChain:
@@ -204,69 +219,116 @@ def _empty_outcome() -> dict[str, list]:
     }
 
 
+def _draw_stack(config: ScenarioConfig, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's instances ``indices`` as ``(B, n)`` memory costs and ``(B, n + 1)`` cut tables.
+
+    Each draw is reduced to its per-layer traffic totals at once, by the
+    ``bincount`` calls ``FfnnModel.cut_table`` makes, so only one
+    instance's edges exist at a time.
+    """
+    n = config.num_layers
+    mem = np.empty((len(indices), n))
+    sent = np.empty((len(indices), n))
+    received = np.empty((len(indices), n))
+    for row, index in enumerate(indices):
+        costs, src, dst = _draw(n, config.skip_prob, iteration_rng(config.seed, index))
+        bits = costs[src]
+        mem[row] = costs
+        sent[row] = np.bincount(src, bits, n)
+        received[row] = np.bincount(dst, bits, n)
+    return mem, cut_tables(sent, received)
+
+
+def _footprint_shares(
+    mem: np.ndarray,
+    mem_total: np.ndarray,
+    points: np.ndarray,
+    kappa: np.ndarray,
+    num_devices: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The memory and cpu shares ``footprint_stats`` gives, padded to ``num_devices``.
+
+    Row b of ``mem`` holds an instance's memory costs (its cpu costs are all
+    1), ``mem_total[b]`` their ``np.add.reduce`` and ``points[b, :kappa[b]]``
+    its plan.  The blocks of one length are summed as one ``(m, length)``
+    gather, whose axis-1 ``np.add.reduce`` adds each row as
+    ``footprint_stats`` adds its block.
+    """
+    rows, n = mem.shape
+    mem_shares = np.zeros((rows, num_devices))
+    cpu_shares = np.zeros((rows, num_devices))
+    lo = np.zeros_like(points)
+    lo[:, 1:] = points[:, :-1]
+    length = points - lo
+    placed = np.arange(points.shape[1]) < kappa[:, None]
+    for size in np.unique(length[placed]).tolist():
+        row, device = np.nonzero(placed & (length == size))
+        block = mem[row[:, None], lo[row, device, None] + np.arange(size)]
+        mem_shares[row, device] = np.add.reduce(block, axis=1) / mem_total[row]
+        cpu_shares[row, device] = size / n
+    return mem_shares, cpu_shares
+
+
 def _run_iteration_range(
     cells: tuple[ScenarioConfig, ...], start: int, stop: int
 ) -> list[dict[str, list]]:
     """Worker body: run iterations [start, stop) of one group of cells.
 
     The cells share ``(num_layers, skip_prob, iterations, seed)``, so each
-    iteration draws one model and solves it on every cell's device chain.
-    The iterations go in stacks of at most ``EXACT_STACK_SIZE``: the greedy
-    runs on each instance as it is drawn, and the exact solver then runs
-    once per cell over the stack's arrays, so no drawn model outlives its
-    iteration.  Returns one dict of raw outcomes per cell, in the order of
-    ``cells``.
+    iteration draws one instance and solves it on every cell's capacity
+    ladder.  The iterations go in stacks of at most ``EXACT_STACK_SIZE``,
+    held as arrays only: each draw becomes one row of memory costs and one
+    cut-table row, and per cell the stacked greedy and the stacked exact
+    solver each run once over the stack.  Each instance is charged an equal
+    share of each solver's stack time.  Returns one dict of raw outcomes per
+    cell, in the order of ``cells``.
     """
     first = cells[0]
+    n = first.num_layers
     outs = [_empty_outcome() for _ in cells]
     for stack_start in range(start, stop, EXACT_STACK_SIZE):
         indices = range(stack_start, min(stack_start + EXACT_STACK_SIZE, stop))
-        # Each instance's cpu and memory prefix sums and cut table, one row each.
-        tables = np.empty((3, len(indices), first.num_layers + 1))
-        # Per cell, each instance's (chain, greedy result, greedy footprint).
-        solved: list[list[tuple]] = [[] for _ in cells]
-        for row, index in enumerate(indices):
-            rng = iteration_rng(first.seed, index)
-            model = generate_random_model(first.num_layers, first.skip_prob, rng)
-            # Build the model's cached tables before any solver is timed, so
-            # every cell's solver times cover solving only.
-            tables[:, row] = model.prefix_cpu, model.prefix_mem, model.cut_table
-            for config, out, instances in zip(cells, outs, solved):
-                chain = generate_device_chain(config.num_devices, model)
-                began = time.perf_counter()
-                greedy = heuristic.solve(model, chain)
-                out["heuristic_times"].append(time.perf_counter() - began)
-                stats = None
-                if greedy.solution is not None:
-                    stats = footprint_stats(model, greedy.solution)
-                instances.append((chain, greedy, stats))
-        for config, out, instances in zip(cells, outs, solved):
+        size = len(indices)
+        mem, cut_table = _draw_stack(first, indices)
+        # Unit cpu costs: every cpu prefix sum and total is an exact integer.
+        prefix_cpu = np.broadcast_to(np.arange(n + 1.0), (size, n + 1))
+        prefix_mem = np.zeros((size, n + 1))
+        np.cumsum(mem, axis=1, out=prefix_mem[:, 1:])
+        totals = np.stack((np.full(size, float(n)), np.add.reduce(mem, axis=1)))
+        for config, out in zip(cells, outs):
+            d = config.num_devices
+            # ``generate_device_chain``'s ladder for every instance at once.
+            capacities = totals[:, :, None] / np.arange(d, 0, -1)
+            link_rate = np.full((size, d - 1), 1.0 / (d - 1))
+            arrays = (prefix_cpu, prefix_mem, cut_table, capacities, link_rate)
             began = time.perf_counter()
-            optima = exact.optimal_costs(*tables, [chain for chain, _, _ in instances])
-            # Each instance is charged an equal share of the stack's time.
-            share = (time.perf_counter() - began) / len(indices)
-            out["exact_times"].extend([share] * len(indices))
-            for (_, greedy, stats), optimum in zip(instances, optima.tolist()):
-                if greedy.solution is None:
-                    out["failures"] += 1
-                    continue
-                if optimum == math.inf:
-                    raise RuntimeError(
-                        "exact solver found nothing although the greedy solution is feasible"
-                    )
-                diff = greedy.cost.total - optimum
-                if diff < -COST_GAP_TOLERANCE:
-                    raise RuntimeError(
-                        f"greedy cost {greedy.cost.total} undercuts the optimum {optimum}"
-                    )
-                padding = (0.0,) * (config.num_devices - greedy.solution.kappa)
-                out["psi_heuristic"].append(greedy.cost.total)
-                out["psi_exact"].append(optimum)
-                out["diffs"].append(diff)
-                out["mem_shares"].append(stats.mem_shares + padding)
-                out["cpu_shares"].append(stats.cpu_shares + padding)
-                out["rho_mem"].append(stats.rho_mem)
-                out["rho_cpu"].append(stats.rho_cpu)
+            points, kappa, cost = heuristic.solve_stack(*arrays)
+            out["heuristic_times"].extend([(time.perf_counter() - began) / size] * size)
+            began = time.perf_counter()
+            optima = exact.optimal_costs(*arrays)
+            out["exact_times"].extend([(time.perf_counter() - began) / size] * size)
+            solved = kappa > 0
+            out["failures"] += size - int(solved.sum())
+            cost, optima = cost[solved], optima[solved]
+            if (optima == math.inf).any():
+                raise RuntimeError(
+                    "exact solver found nothing although the greedy solution is feasible"
+                )
+            diffs = cost - optima
+            undercut = np.flatnonzero(diffs < -COST_GAP_TOLERANCE)
+            if len(undercut):
+                b = undercut[0]
+                raise RuntimeError(f"greedy cost {cost[b]} undercuts the optimum {optima[b]}")
+            mem_shares, cpu_shares = _footprint_shares(
+                mem[solved], totals[1, solved], points[solved], kappa[solved], d
+            )
+            out["psi_heuristic"].extend(cost.tolist())
+            out["psi_exact"].extend(optima.tolist())
+            out["diffs"].extend(diffs.tolist())
+            out["mem_shares"].extend(mem_shares.tolist())
+            out["cpu_shares"].extend(cpu_shares.tolist())
+            out["rho_mem"].extend((1.0 - mem_shares[:, 0]).tolist())
+            out["rho_cpu"].extend((1.0 - cpu_shares[:, 0]).tolist())
     return outs
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from splitplan import exact, heuristic
 from splitplan.cost import block_threshold, is_feasible
 from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
+from greedy_stacks import assert_stack_matches_solve
 
 
 def block_sum_capacity(costs, rng):
@@ -64,9 +65,20 @@ def assert_solvers_agree(model, chain):
 def test_block_sum_capacities_fuzz():
     rng = np.random.default_rng(1717)
     feasible = 0
+    shapes = {}
     for _ in range(3000):
-        feasible += assert_solvers_agree(*boundary_instance(rng))
+        model, chain = boundary_instance(rng)
+        feasible += assert_solvers_agree(model, chain)
+        shape = (model.num_layers, chain.num_devices)
+        shapes.setdefault(shape, []).append((model, chain))
     assert feasible > 300
+    # The stacked greedy, one stack per shape: rows that finish at different
+    # counts beside rows that fail at different devices.
+    outcomes = set()
+    for instances in shapes.values():
+        outcomes.update(assert_stack_matches_solve(*zip(*instances)))
+    assert {kappa for outcome, kappa in outcomes if outcome == "solution"} >= {1, 2, 3}
+    assert {device for outcome, device in outcomes if outcome == "no-solution"} >= {1, 2, 3}
 
 
 def test_threshold_rule_is_inclusive():
@@ -129,6 +141,7 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 @given(boundary_instances())
 def test_solvers_agree_on_and_next_to_block_sums(instance):
     assert_solvers_agree(*instance)
+    assert_stack_matches_solve(*zip(instance))
 
 
 def block_fits(model, device, q, p):

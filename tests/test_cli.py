@@ -411,6 +411,7 @@ class TestExperiment:
             raise AssertionError("no instance may be drawn")
 
         monkeypatch.setattr(scenarios, "generate_random_model", refuse_draw)
+        monkeypatch.setattr(scenarios, "_draw", refuse_draw)
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", refuse_pool)
         config = write_sweep_config(tmp_path, num_layers=[8, layers], threads=2)
         code = main(

@@ -446,7 +446,7 @@ def assert_stack_matches_reference(models, chains):
         np.array([m.prefix_cpu for m in models]),
         np.array([m.prefix_mem for m in models]),
         np.array([cut_traffic_table(m) for m in models]),
-        chains,
+        *exact._chain_arrays(chains),
     )
     feasible = 0
     for row, (model, chain) in enumerate(zip(models, chains)):

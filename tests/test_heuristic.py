@@ -5,6 +5,7 @@ from splitplan import exact, heuristic
 from splitplan.cost import cut_traffic_table, is_feasible
 from splitplan.model import Device, DeviceChain, FfnnModel
 from splitplan.scenarios import generate_device_chain, generate_random_model
+from greedy_stacks import assert_stack_matches_solve
 from traffic_views import dense_traffic
 
 
@@ -344,10 +345,15 @@ def reference_solve(model, chain, max_splits=None):
     return heuristic.HeuristicResult(solution=None, cost=None, trace=trace)
 
 
-def fractional_instance(rng):
-    """Fractional costs and unsorted random capacities: many greedy failures."""
-    n = int(rng.integers(1, 41))
-    num_devices = int(rng.integers(1, 8))
+def fractional_instance(rng, n=None, num_devices=None):
+    """Fractional costs and unsorted random capacities: many greedy failures.
+
+    The layer and device counts are drawn unless given.
+    """
+    if n is None:
+        n = int(rng.integers(1, 41))
+    if num_devices is None:
+        num_devices = int(rng.integers(1, 8))
     mem = 1.0 - rng.random(n) * 0.99
     cpu = rng.uniform(0.05, 0.85, n)
     src, dst = np.nonzero(np.triu(rng.random((n, n)) < 0.4, k=1))
@@ -410,6 +416,19 @@ class TestSingleScanAgainstPerCountReference:
         assert outcomes["solution"] > 500
         assert outcomes["no-solution"] > 500
         assert kappas >= {1, 2, 3, 4}
+
+    def test_stacks_of_fractional_instances_match_row_by_row(self):
+        # Each stack mixes rows that finish at different counts with rows
+        # that fail at different devices.
+        rng = np.random.default_rng(7003)
+        outcomes = set()
+        for n, num_devices in ((1, 3), (6, 1), (12, 4), (30, 7), (40, 5)):
+            instances = [fractional_instance(rng, n, num_devices) for _ in range(60)]
+            outcomes.update(assert_stack_matches_solve(*zip(*instances)))
+        assert {kappa for outcome, kappa in outcomes if outcome == "solution"} >= {1, 2, 3, 4}
+        assert {device for outcome, device in outcomes if outcome == "no-solution"} >= {
+            1, 2, 3, 4
+        }
 
     def test_a_failed_scan_reports_every_count_up_to_the_limit(self):
         # Layer 3 overflows device 1 at iteration 3 and device 2 at iteration

@@ -539,11 +539,13 @@ class TestSharedInstances:
         # The benchmark's sweep grid: 10 groups of 3 device counts, 50 iterations.
         calls = []
 
+        draw = scenarios._draw
+
         def counting(*args):
             calls.append(args)
-            return generate_random_model(*args)
+            return draw(*args)
 
-        monkeypatch.setattr(scenarios, "generate_random_model", counting)
+        monkeypatch.setattr(scenarios, "_draw", counting)
         configs = [
             ScenarioConfig(
                 num_layers=layers, num_devices=devices, skip_prob=prob, iterations=50, seed=1

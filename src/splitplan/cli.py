@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -147,12 +148,22 @@ def _report_payload(report: PlanReport) -> dict:
 
 
 def _load_validated(model_path: str, chain_path: str) -> tuple[FfnnModel, DeviceChain]:
+    """Load a valid model and a chain on which no plan's transfer cost overflows."""
     model = load_model(model_path)
     chain = load_chain(chain_path)
     report = validate_model(model)
     if not report.ok:
         raise ProfileFormatError(
             f"{model_path}: invalid model: " + "; ".join(report.violations)
+        )
+    # A cost sums at most d - 1 terms, each at most the largest cut over the
+    # smallest rate (inf without links, which leaves the bound at 0).
+    largest = float(model.cut_table.max())
+    slowest = float(chain.link_rate.min(initial=math.inf))
+    if not math.isfinite(largest / slowest * (chain.num_devices - 1)):
+        raise ProfileFormatError(
+            f"{chain_path}: transfer cost overflows: largest cut {largest} over smallest "
+            f"link rate {slowest}, summed over {chain.num_devices - 1} links"
         )
     return model, chain
 

@@ -86,8 +86,8 @@ def objective(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> CostBre
     table = cut_traffic_table(model)
     terms = []
     total = 0.0
-    for t in range(x.kappa - 1):
-        term = float(table[x.points[t]]) / chain.link_rate[t]
+    for point, rate in zip(x.points[:-1], chain.link_rate.tolist()):
+        term = float(table[point]) / rate
         terms.append(term)
         total += term
     return CostBreakdown(boundary_terms=tuple(terms), total=total)
@@ -115,12 +115,12 @@ def is_feasible(model: FfnnModel, chain: DeviceChain, x: SplitSolution) -> Feasi
     blocks = partition(x, model.num_layers)
     prefix_cpu = model.prefix_cpu.tolist()
     prefix_mem = model.prefix_mem.tolist()
-    for t, block in enumerate(blocks, start=1):
-        device = chain.devices[t - 1]
+    capacities = zip(blocks, chain.cpu_capacity.tolist(), chain.mem_capacity.tolist())
+    for t, (block, cpu_capacity, mem_capacity) in enumerate(capacities, start=1):
         q, p = block.start - 1, block.stop - 1
         for constraint, prefix, capacity in (
-            ("cpu", prefix_cpu, device.cpu_capacity),
-            ("mem", prefix_mem, device.mem_capacity),
+            ("cpu", prefix_cpu, cpu_capacity),
+            ("mem", prefix_mem, mem_capacity),
         ):
             if not prefix[q] >= block_threshold(prefix[p], capacity):
                 return FeasibilityResult(

@@ -178,13 +178,8 @@ def _steps(
 
 def _chain_arrays(chains: Sequence[DeviceChain]) -> tuple[np.ndarray, np.ndarray]:
     """``(2, B, d)`` cpu and memory capacities and ``(B, d - 1)`` link rates."""
-    capacities = np.array(
-        [
-            [[device.cpu_capacity for device in chain.devices] for chain in chains],
-            [[device.mem_capacity for device in chain.devices] for chain in chains],
-        ]
-    )
-    return capacities, np.array([chain.link_rate for chain in chains])
+    capacities = np.array([[c.cpu_capacity for c in chains], [c.mem_capacity for c in chains]])
+    return capacities, np.array([c.link_rate for c in chains])
 
 
 def _optima(model: FfnnModel, chain: DeviceChain, limit: int) -> list[SolvedSplit | None]:

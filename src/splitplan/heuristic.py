@@ -102,10 +102,11 @@ def _scan(
     start = 1  # first layer of the current device's block
     overflow = 1  # the layer the scan is stuck at
     failed = 0  # failed fit checks so far
-    for device in chain.devices[:num_splits]:
+    capacities = zip(chain.cpu_capacity.tolist(), chain.mem_capacity.tolist())
+    for cpu_capacity, mem_capacity in list(capacities)[:num_splits]:
         end = min(
-            _block_end(prefix_cpu, start - 1, device.cpu_capacity),
-            _block_end(prefix_mem, start - 1, device.mem_capacity),
+            _block_end(prefix_cpu, start - 1, cpu_capacity),
+            _block_end(prefix_mem, start - 1, mem_capacity),
         )
         if end == n:
             return tuple(points) + (n,), n + failed, needed

@@ -9,9 +9,8 @@ model's edges point forward (``src < dst``), the sparse form of a strictly
 upper-triangular traffic matrix; only nonzero entries are stored, so
 loading, saving, validating and building the cut table each cost O(n + E)
 for n layers and E edges, and no per-layer object or n x n matrix is ever
-built.  A device chain is an ordered list of devices connected by
-point-to-point links, the first device being the one that owns the input
-data.
+built.  A device chain is arrays too: per-device capacities and the rates
+of the links between neighbours; the first device owns the input data.
 
 A split solution is a strictly increasing vector of layer indices
 ``x = [x_1, ..., x_k]`` with ``x_k`` equal to the number of layers; device
@@ -19,10 +18,10 @@ A split solution is a strictly increasing vector of layer indices
 
 All types are immutable after construction.  Constructors reject only
 structurally unusable data (cost and name arrays of different lengths,
-mismatched edge arrays, out-of-range or repeated edges, NaN capacities,
-non-positive link rates); value-level checks live in :func:`validate_model`
-and :func:`validate_chain` so that questionable inputs can be loaded and
-reported instead of raised at parse time.
+mismatched edge or capacity arrays, out-of-range or repeated edges, negative
+or non-finite capacities, non-positive link rates); value-level checks live
+in :func:`validate_model` and :func:`validate_chain` so that questionable
+inputs can be loaded and reported instead of raised at parse time.
 """
 
 from __future__ import annotations
@@ -207,44 +206,52 @@ def _prefix_sums(costs: np.ndarray) -> np.ndarray:
     return _read_only(prefix)
 
 
-@dataclass(frozen=True)
-class Device:
-    """Per-device capacity limits, in the same normalized units as the model."""
-
-    cpu_capacity: float
-    mem_capacity: float
-
-    def __post_init__(self) -> None:
-        for label, value in (("cpu", self.cpu_capacity), ("mem", self.mem_capacity)):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{label}_capacity must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceChain:
-    """Ordered devices; ``link_rate[t-1]`` is the rate of the link t -> t+1."""
+    """Device ``t``'s capacities and the rate of link t -> t+1, at index t - 1.
 
-    devices: tuple[Device, ...]
-    link_rate: tuple[float, ...]
+    Units are the model's.  The constructor stores read-only float64 copies
+    and raises ``ValueError`` for capacity arrays of different lengths, a
+    negative or non-finite capacity, no devices, a link count other than
+    d - 1, or a rate that is not finite and positive.
+    """
+
+    cpu_capacity: np.ndarray
+    mem_capacity: np.ndarray
+    link_rate: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(self, "link_rate", tuple(float(r) for r in self.link_rate))
-        if not self.devices:
+        cpu = np.array(self.cpu_capacity, dtype=np.float64).reshape(-1)
+        mem = np.array(self.mem_capacity, dtype=np.float64).reshape(-1)
+        rates = np.array(self.link_rate, dtype=np.float64).reshape(-1)
+        d = len(cpu)
+        if len(mem) != d:
+            raise ValueError(f"capacity arrays differ in length: cpu {d}, mem {len(mem)}")
+        # A Python loop over a few devices costs less than numpy reductions.
+        for pair in zip(cpu.tolist(), mem.tolist()):
+            for label, value in zip(("cpu", "mem"), pair):
+                if not math.isfinite(value) or value < 0.0:
+                    raise ValueError(f"{label}_capacity must be finite and >= 0, got {value}")
+        if not d:
             raise ValueError("a device chain needs at least one device")
-        if len(self.link_rate) != len(self.devices) - 1:
-            raise ValueError(
-                f"{len(self.devices)} devices need {len(self.devices) - 1} links, "
-                f"got {len(self.link_rate)}"
-            )
-        for t, rate in enumerate(self.link_rate, start=1):
+        if len(rates) != d - 1:
+            raise ValueError(f"{d} devices need {d - 1} links, got {len(rates)}")
+        for t, rate in enumerate(rates.tolist(), start=1):
             # A zero or negative rate means no usable link between t and t+1.
             if not math.isfinite(rate) or rate <= 0.0:
                 raise ValueError(f"link {t}->{t + 1} rate must be > 0, got {rate}")
+        for name, array in zip(("cpu_capacity", "mem_capacity", "link_rate"), (cpu, mem, rates)):
+            object.__setattr__(self, name, _read_only(array))
 
     @property
     def num_devices(self) -> int:
-        return len(self.devices)
+        return len(self.cpu_capacity)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceChain):
+            return NotImplemented
+        names = ("cpu_capacity", "mem_capacity", "link_rate")
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
 
 
 @dataclass(frozen=True)
@@ -285,7 +292,8 @@ def validate_model(model: FfnnModel) -> ValidationReport:
     Every edge must point to a later layer (feed-forward order: the sparse
     form of a strictly upper-triangular matrix) and carry a finite,
     non-negative bit count; cpu costs lie in [0, 1] and memory costs in
-    (0, 1].  O(n + E).
+    (0, 1].  If every edge passes, so must the traffic at each split: it
+    must be finite.  O(n + E).
     """
     violations: list[str] = []
     n = model.num_layers
@@ -310,16 +318,22 @@ def validate_model(model: FfnnModel) -> ValidationReport:
             violations.append(f"lower-triangular traffic at ({i},{j})")
         else:
             violations.append(f"negative traffic at ({i},{j})")
+    if not bad.any() and not np.isfinite(model.cut_table).all():
+        p = int(np.argmin(np.isfinite(model.cut_table)))
+        violations.append(
+            f"traffic crossing a split after layer {p} is {model.cut_table[p]}, not finite"
+        )
     return ValidationReport(violations=tuple(violations))
 
 
 def validate_chain(chain: DeviceChain) -> ValidationReport:
     """Warn about devices that can never host a layer or are un-normalized."""
     warnings: list[str] = []
-    for t, device in enumerate(chain.devices, start=1):
-        if device.cpu_capacity == 0.0 or device.mem_capacity == 0.0:
+    capacities = zip(chain.cpu_capacity.tolist(), chain.mem_capacity.tolist())
+    for t, (cpu, mem) in enumerate(capacities, start=1):
+        if cpu == 0.0 or mem == 0.0:
             warnings.append(f"device {t} has zero capacity and will never host a layer")
-        if device.cpu_capacity > 1.0 or device.mem_capacity > 1.0:
+        if cpu > 1.0 or mem > 1.0:
             warnings.append(f"device {t} capacity exceeds 1; values look un-normalized")
     return ValidationReport(warnings=tuple(warnings))
 

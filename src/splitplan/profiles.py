@@ -15,10 +15,10 @@ Three file kinds live here, all JSON, UTF-8, human-diffable:
   "links": [{"rate"}]}``.
 
 ``normalize`` turns a raw profile plus raw device capacities and link rates
-into model and chain objects expressed in [0, 1] units: cpu quantities are
-divided by the largest cpu capacity among the devices, memory quantities
-(including edge bits) by the largest memory capacity, and link rates by the
-largest rate.  The divisors are returned so results can be converted back.
+into a model and a chain, each held as arrays, in [0, 1] units: cpu
+quantities are divided by the largest cpu capacity among the devices, memory
+quantities (including edge bits) by the largest memory capacity, and link
+rates by the largest rate.  The divisors are returned so results can be converted back.
 
 Canonical save/load round-trips are bit-identical: loading a saved file and
 saving it again reproduces the same bytes.
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Device, DeviceChain, FfnnModel
+from .model import DeviceChain, FfnnModel
 
 RAW_PROFILE_VERSION = 1
 MODEL_FORMAT_VERSION = 1
@@ -269,16 +269,10 @@ def normalize(
             bits.append(mem[position] if edge.bits is None else edge.bits / mem_factor)
     model = FfnnModel(cpu, mem, names, src=src, dst=dst, bits=bits)
 
-    devices = tuple(
-        Device(
-            cpu_capacity=float(cpu) / cpu_factor,
-            mem_capacity=float(mem) / mem_factor,
-        )
-        for cpu, mem in device_capacities
-    )
     chain = DeviceChain(
-        devices=devices,
-        link_rate=tuple(float(r) / bandwidth_factor for r in link_rates),
+        cpu_capacity=[float(cpu) / cpu_factor for cpu, _ in device_capacities],
+        mem_capacity=[float(mem) / mem_factor for _, mem in device_capacities],
+        link_rate=[float(r) / bandwidth_factor for r in link_rates],
     )
     return model, chain, factors
 
@@ -418,10 +412,10 @@ def save_chain(chain: DeviceChain, path: str | Path) -> None:
     """Write a device chain to the canonical JSON format."""
     payload = {
         "devices": [
-            {"cpu_capacity": d.cpu_capacity, "mem_capacity": d.mem_capacity}
-            for d in chain.devices
+            {"cpu_capacity": cpu, "mem_capacity": mem}
+            for cpu, mem in zip(chain.cpu_capacity.tolist(), chain.mem_capacity.tolist())
         ],
-        "links": [{"rate": rate} for rate in chain.link_rate],
+        "links": [{"rate": rate} for rate in chain.link_rate.tolist()],
     }
     _write_json(path, payload)
 
@@ -432,15 +426,12 @@ def load_chain(path: str | Path) -> DeviceChain:
     _require(isinstance(payload, dict), "{}: top level must be an object", path)
     rows = payload.get("devices")
     _require(isinstance(rows, list) and rows, "{}: 'devices' must be a non-empty list", path)
-    devices = []
+    cpu: list[float] = []
+    mem: list[float] = []
     for position, row in enumerate(rows, start=1):
         _require(isinstance(row, dict), "{}: device {} must be an object", path, position)
-        devices.append(
-            (
-                _number(row.get("cpu_capacity"), "{}: device {} cpu_capacity", path, position),
-                _number(row.get("mem_capacity"), "{}: device {} mem_capacity", path, position),
-            )
-        )
+        cpu.append(_number(row.get("cpu_capacity"), "{}: device {} cpu_capacity", path, position))
+        mem.append(_number(row.get("mem_capacity"), "{}: device {} mem_capacity", path, position))
     links = payload.get("links")
     _require(isinstance(links, list), "{}: 'links' must be a list", path)
     rates = []
@@ -448,10 +439,7 @@ def load_chain(path: str | Path) -> DeviceChain:
         _require(isinstance(row, dict), "{}: link {} must be an object", path, position)
         rates.append(_number(row.get("rate"), "{}: link {} rate", path, position))
     try:
-        return DeviceChain(
-            devices=tuple(Device(cpu, mem) for cpu, mem in devices),
-            link_rate=tuple(rates),
-        )
+        return DeviceChain(cpu, mem, rates)
     except ValueError as error:
         raise ProfileFormatError(f"{path}: {error}") from error
 

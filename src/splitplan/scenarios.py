@@ -5,7 +5,8 @@ are uniform in (0.01, 1.0], each layer always sends its memory-sized output
 to the next layer, and with probability ``skip_prob`` also to each later
 layer.  Device ``t`` of ``d`` receives capacity ``total / (d - t + 1)`` per
 resource, so the last device can always hold the whole model and the first
-holds a ``1/d`` fraction; all links share the rate ``1 / (d - 1)``.
+holds a ``1/d`` fraction; all links share the rate ``1 / (d - 1)``.  One
+helper computes this ladder as arrays, for a chain or a whole stack.
 
 ``run_cost_difference_sweep`` runs the greedy planner against the exact one
 over many such instances and aggregates the cost gap, the failure rate of
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, heuristic
-from .model import Device, DeviceChain, FfnnModel, SplitSolution, cut_tables
+from .model import DeviceChain, FfnnModel, SplitSolution, cut_tables
 
 # A greedy solution may only ever cost at least as much as the optimum;
 # anything below -COST_GAP_TOLERANCE indicates a solver defect.
@@ -158,15 +159,15 @@ def generate_device_chain(num_devices: int, model: FfnnModel) -> DeviceChain:
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-    devices = tuple(
-        Device(
-            cpu_capacity=model.cpu_total / (num_devices - t + 1),
-            mem_capacity=model.mem_total / (num_devices - t + 1),
-        )
-        for t in range(1, num_devices + 1)
-    )
+    capacities, link_rate = _ladder(np.array([model.cpu_total, model.mem_total]), num_devices)
+    return DeviceChain(capacities[0], capacities[1], link_rate)
+
+
+def _ladder(totals: np.ndarray, num_devices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Capacities ``total / (d - t + 1)`` for ``(2, ...)`` totals; rates ``1 / (d - 1)``."""
+    capacities = totals[..., None] / np.arange(num_devices, 0, -1)
     rate = 1.0 / (num_devices - 1) if num_devices > 1 else 0.0
-    return DeviceChain(devices=devices, link_rate=(rate,) * (num_devices - 1))
+    return capacities, np.full(totals.shape[1:] + (num_devices - 1,), rate)
 
 
 def footprint_stats(model: FfnnModel, solution: SplitSolution) -> FootprintStats:
@@ -297,9 +298,7 @@ def _run_iteration_range(
         totals = np.stack((np.full(size, float(n)), np.add.reduce(mem, axis=1)))
         for config, out in zip(cells, outs):
             d = config.num_devices
-            # ``generate_device_chain``'s ladder for every instance at once.
-            capacities = totals[:, :, None] / np.arange(d, 0, -1)
-            link_rate = np.full((size, d - 1), 1.0 / (d - 1))
+            capacities, link_rate = _ladder(totals, d)
             arrays = (prefix_cpu, prefix_mem, cut_table, capacities, link_rate)
             began = time.perf_counter()
             points, kappa, cost = heuristic.solve_stack(*arrays)

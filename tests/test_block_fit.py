@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from splitplan import exact, heuristic
 from splitplan.cost import block_threshold, is_feasible
-from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
+from splitplan.model import DeviceChain, FfnnModel, SplitSolution
 from greedy_stacks import assert_stack_matches_solve
 
 
@@ -32,14 +32,16 @@ def boundary_instance(rng):
     mem = rng.uniform(0.05, 1.0, n).tolist()
     src, dst = np.nonzero(np.triu(rng.random((n, n)) < 0.5, k=1))
     model = FfnnModel(cpu, mem, src=src, dst=dst, bits=rng.uniform(0.0, 10.0, len(src)))
-    chain = DeviceChain(
-        devices=tuple(
-            Device(block_sum_capacity(cpu, rng), block_sum_capacity(mem, rng))
-            for _ in range(num_devices)
-        ),
-        link_rate=tuple(rng.uniform(0.25, 2.0, num_devices - 1).tolist()),
-    )
-    return model, chain
+    capacities = [
+        (block_sum_capacity(cpu, rng), block_sum_capacity(mem, rng))
+        for _ in range(num_devices)
+    ]
+    return model, chain_of(capacities, rng.uniform(0.25, 2.0, num_devices - 1))
+
+
+def chain_of(capacities, rates):
+    """A chain of the (cpu, mem) ``capacities`` pairs, in order."""
+    return DeviceChain([cpu for cpu, _ in capacities], [mem for _, mem in capacities], rates)
 
 
 def assert_solvers_agree(model, chain):
@@ -95,7 +97,7 @@ def test_rule_reads_the_prefix_sums_not_the_block_alone():
     # 0.1 + 0.2 rounds above 0.3, so on these prefix sums a layer of 0.2
     # after one of 0.1 needs a little more than 0.2, and every solver agrees.
     model = FfnnModel([1.0, 1.0], [0.1, 0.2])
-    chain = DeviceChain(devices=(Device(1.0, 0.1), Device(1.0, 0.2)), link_rate=(1.0,))
+    chain = DeviceChain([1.0, 1.0], [0.1, 0.2], [1.0])
     got = is_feasible(model, chain, SplitSolution(points=(1, 2)))
     assert (got.ok, got.device, got.constraint) == (False, 2, "mem")
     assert heuristic.solve(model, chain).solution is None
@@ -123,15 +125,15 @@ def boundary_instances(draw):
     cpu = draw(st.lists(costs, min_size=n, max_size=n))
     mem = draw(st.lists(costs, min_size=n, max_size=n))
     num_devices = draw(st.integers(1, 4))
-    devices = tuple(
-        Device(draw(on_boundary(cpu)), draw(on_boundary(mem))) for _ in range(num_devices)
-    )
+    capacities = [
+        (draw(on_boundary(cpu)), draw(on_boundary(mem))) for _ in range(num_devices)
+    ]
     bits = draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
     model = FfnnModel(cpu, mem, src=np.arange(n - 1), dst=np.arange(1, n), bits=bits)
     rates = draw(
         st.lists(st.floats(0.25, 2.0), min_size=num_devices - 1, max_size=num_devices - 1)
     )
-    return model, DeviceChain(devices=devices, link_rate=rates)
+    return model, chain_of(capacities, rates)
 
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -144,13 +146,16 @@ def test_solvers_agree_on_and_next_to_block_sums(instance):
     assert_stack_matches_solve(*zip(instance))
 
 
-def block_fits(model, device, q, p):
-    """``is_feasible`` on block ``q+1..p`` of ``device``, other blocks on ample devices."""
+def block_fits(model, capacity, q, p):
+    """``is_feasible`` on block ``q+1..p`` of a device of (cpu, mem) ``capacity``.
+
+    The other blocks go on ample devices.
+    """
     n = model.num_layers
-    ample = Device(n, n)
+    ample = (n, n)
     points = ((q,) if q else ()) + (p,) + ((n,) if p < n else ())
-    devices = ((ample,) if q else ()) + (device,) + ((ample,) if p < n else ())
-    chain = DeviceChain(devices=devices, link_rate=(1.0,) * (len(devices) - 1))
+    capacities = ((ample,) if q else ()) + (capacity,) + ((ample,) if p < n else ())
+    chain = chain_of(capacities, (1.0,) * (len(capacities) - 1))
     return is_feasible(model, chain, SplitSolution(points=points)).ok
 
 
@@ -164,10 +169,10 @@ def test_greedy_blocks_end_where_is_feasible_stops(instance):
     cut = model.cut_table.tolist()
     expected = None
     points = []
-    for device in chain.devices[: min(n, chain.num_devices)]:
+    for capacity in list(zip(chain.cpu_capacity, chain.mem_capacity))[:n]:
         start = points[-1] + 1 if points else 1
         end = start - 1
-        while end < n and block_fits(model, device, start - 1, end + 1):
+        while end < n and block_fits(model, capacity, start - 1, end + 1):
             end += 1
         if end == n:
             expected = SplitSolution(points=tuple(points) + (n,))

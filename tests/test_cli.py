@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splitplan import scenarios
 from splitplan.cli import MAX_SWEEP_LAYERS, _parse_experiment_config, main
 from splitplan.cost import objective
-from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
+from splitplan.model import DeviceChain, FfnnModel, SplitSolution
 from splitplan.profiles import load_chain, load_model, save_chain, save_model
 from splitplan.scenarios import generate_device_chain, generate_random_model, iteration_rng
 from splitplan.svgplot import render_sweep
@@ -120,6 +121,48 @@ class TestPlan:
         assert code == 2
         assert "invalid model" in capsys.readouterr().err
 
+    def test_overflowing_link_rate_exits_two(self, capsys, tmp_path):
+        # A subnormal rate is finite and positive, but a cut over it is not.
+        chain_path = tmp_path / "slow.chain.json"
+        chain_path.write_text(
+            json.dumps(
+                {
+                    "devices": [
+                        {"cpu_capacity": 0.3, "mem_capacity": 0.3},
+                        {"cpu_capacity": 1, "mem_capacity": 1},
+                    ],
+                    "links": [{"rate": 1e-320}],
+                }
+            )
+        )
+        out_path = tmp_path / "report.json"
+        argv = ["plan", "--model", TOY_MODEL, "--chain", str(chain_path), "--solver", "both"]
+        code = main(argv + ["--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "transfer cost overflows" in captured.err
+        assert "internal error" not in captured.err
+        assert not out_path.exists()
+
+    def test_overflowing_cut_exits_two(self, capsys, tmp_path):
+        # Every edge is finite, but the two 1e308-bit edges into layer 3 sum
+        # past the float range at the split after layer 2.
+        model = FfnnModel(
+            [0.25] * 4, [0.25] * 4, src=[0, 1, 2], dst=[2, 2, 3], bits=[1e308, 1e308, 1.0]
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["plan", "--model", str(model_path), "--chain", TOY_CHAIN, "--solver", "both"]
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "invalid model: traffic crossing a split after layer 2 is inf" in captured.err
+        assert "internal error" not in captured.err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_without_warnings(self):
@@ -154,7 +197,7 @@ class TestFootprint:
 
     def test_single_device_keeps_everything_local(self, capsys, tmp_path):
         model = generate_random_model(5, 0.0, iteration_rng(3, 0))
-        chain = DeviceChain(devices=(Device(10.0, 10.0),), link_rate=())
+        chain = DeviceChain([10.0], [10.0], [])
         model_path = tmp_path / "model.json"
         chain_path = tmp_path / "chain.json"
         save_model(model, model_path)
@@ -167,9 +210,7 @@ class TestFootprint:
 
     def test_unsplittable_model_exits_one(self, capsys, tmp_path):
         model = FfnnModel(cpu=[1.0], mem=[1.0])
-        chain = DeviceChain(
-            devices=(Device(1.0, 0.25), Device(1.0, 0.25)), link_rate=(1.0,)
-        )
+        chain = DeviceChain([1.0, 1.0], [0.25, 0.25], [1.0])
         model_path = tmp_path / "model.json"
         chain_path = tmp_path / "chain.json"
         save_model(model, model_path)

@@ -8,7 +8,7 @@ from splitplan.cost import (
     is_feasible,
     objective,
 )
-from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
+from splitplan.model import DeviceChain, FfnnModel, SplitSolution
 
 
 def make_model(mem_costs, traffic, cpu_costs=None):
@@ -19,10 +19,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
 
 
 def make_chain(capacities, rates):
-    return DeviceChain(
-        devices=tuple(Device(cpu, mem) for cpu, mem in capacities),
-        link_rate=tuple(rates),
-    )
+    return DeviceChain([cpu for cpu, _ in capacities], [mem for _, mem in capacities], rates)
 
 
 def brute_force_cut(traffic, p):
@@ -229,10 +226,9 @@ class TestIsFeasible:
             previous = 0
             for t, point in enumerate(points):
                 block = range(previous + 1, point + 1)
-                device = chain.devices[t]
-                if sum(cpu[i - 1] for i in block) > device.cpu_capacity:
+                if sum(cpu[i - 1] for i in block) > chain.cpu_capacity[t]:
                     expected = False
-                if sum(mem[i - 1] for i in block) > device.mem_capacity:
+                if sum(mem[i - 1] for i in block) > chain.mem_capacity[t]:
                     expected = False
                 previous = point
             assert got.ok == expected

@@ -7,7 +7,7 @@ import pytest
 from splitplan import exact, heuristic, scenarios
 from splitplan.cost import cut_traffic_table, is_feasible, objective
 from splitplan.exact import EnumerationBudgetExceeded
-from splitplan.model import Device, DeviceChain, FfnnModel, SplitSolution
+from splitplan.model import DeviceChain, FfnnModel, SplitSolution
 
 
 def make_model(mem_costs, traffic, cpu_costs=None):
@@ -18,10 +18,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
 
 
 def make_chain(capacities, rates):
-    return DeviceChain(
-        devices=tuple(Device(cpu, mem) for cpu, mem in capacities),
-        link_rate=tuple(rates),
-    )
+    return DeviceChain([cpu for cpu, _ in capacities], [mem for _, mem in capacities], rates)
 
 
 def ample_chain(num_devices, rates=None):
@@ -72,9 +69,10 @@ def reference_fixed_splits(model, chain, num_splits):
     cut_table = cut_traffic_table(model)
 
     def block_limits(device_index):
-        device = chain.devices[device_index]
-        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - device.cpu_capacity, "left")
-        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
+        cpu_capacity = chain.cpu_capacity[device_index]
+        mem_capacity = chain.mem_capacity[device_index]
+        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - cpu_capacity, "left")
+        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - mem_capacity, "left")
         return cpu_min_q, mem_min_q
 
     cpu_min_q, mem_min_q = block_limits(0)
@@ -121,9 +119,10 @@ def reference_optimal_points(model, chain, limit):
     cut_table = cut_traffic_table(model)
 
     def block_limits(device_index):
-        device = chain.devices[device_index]
-        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - device.cpu_capacity, "left")
-        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - device.mem_capacity, "left")
+        cpu_capacity = chain.cpu_capacity[device_index]
+        mem_capacity = chain.mem_capacity[device_index]
+        cpu_min_q = np.searchsorted(prefix_cpu, prefix_cpu - cpu_capacity, "left")
+        mem_min_q = np.searchsorted(prefix_mem, prefix_mem - mem_capacity, "left")
         return cpu_min_q, mem_min_q
 
     def trace_back(best, parents):
@@ -348,13 +347,13 @@ class TestAgainstEnumeration:
                 if exact.solve_fixed_splits(model, chain, kappa) is None:
                     continue
                 t = int(rng.integers(0, chain.num_devices))
-                old = chain.devices[t]
-                bumped = list(chain.devices)
+                cpu = chain.cpu_capacity.copy()
+                mem = chain.mem_capacity.copy()
                 if rng.random() < 0.5:
-                    bumped[t] = Device(old.cpu_capacity + 0.5, old.mem_capacity)
+                    cpu[t] += 0.5
                 else:
-                    bumped[t] = Device(old.cpu_capacity, old.mem_capacity + 0.5)
-                relaxed = DeviceChain(devices=tuple(bumped), link_rate=chain.link_rate)
+                    mem[t] += 0.5
+                relaxed = DeviceChain(cpu, mem, chain.link_rate)
                 assert exact.solve_fixed_splits(model, relaxed, kappa) is not None
                 relaxed_checks += 1
         assert relaxed_checks > 50

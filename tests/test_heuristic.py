@@ -3,7 +3,7 @@ import pytest
 
 from splitplan import exact, heuristic
 from splitplan.cost import cut_traffic_table, is_feasible
-from splitplan.model import Device, DeviceChain, FfnnModel
+from splitplan.model import DeviceChain, FfnnModel
 from splitplan.scenarios import generate_device_chain, generate_random_model
 from greedy_stacks import assert_stack_matches_solve
 from traffic_views import dense_traffic
@@ -17,10 +17,7 @@ def make_model(mem_costs, traffic, cpu_costs=None):
 
 
 def make_chain(capacities, rates):
-    return DeviceChain(
-        devices=tuple(Device(cpu, mem) for cpu, mem in capacities),
-        link_rate=tuple(rates),
-    )
+    return DeviceChain([cpu for cpu, _ in capacities], [mem for _, mem in capacities], rates)
 
 
 def brute_cut(traffic, p):
@@ -47,8 +44,8 @@ def reference_rescan(model, chain, num_splits):
     while layer <= n:
         steps += 1
         assert steps <= 10 * n * num_splits + 10, "reference scan diverged"
-        fits_cpu = cpu_load + cpu[layer - 1] <= chain.devices[device - 1].cpu_capacity
-        fits_mem = mem_load + mem[layer - 1] <= chain.devices[device - 1].mem_capacity
+        fits_cpu = cpu_load + cpu[layer - 1] <= chain.cpu_capacity[device - 1]
+        fits_mem = mem_load + mem[layer - 1] <= chain.mem_capacity[device - 1]
         if fits_cpu and fits_mem:
             candidates.append(layer)
             cpu_load += cpu[layer - 1]
@@ -464,8 +461,8 @@ def layer_scan(
     prefix_cpu = model.prefix_cpu.tolist()
     prefix_mem = model.prefix_mem.tolist()
     cut = cut_traffic_table(model).tolist()
-    cpu_cap = [d.cpu_capacity for d in chain.devices]
-    mem_cap = [d.mem_capacity for d in chain.devices]
+    cpu_cap = chain.cpu_capacity.tolist()
+    mem_cap = chain.mem_capacity.tolist()
 
     committed: list[int] = []
     needed: list[int] = []

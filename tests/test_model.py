@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from splitplan.model import (
-    Device,
     DeviceChain,
     FfnnModel,
     SplitSolution,
@@ -273,6 +272,18 @@ class TestValidateModel:
             "lower-triangular traffic at (4,1)",
         )
 
+    def test_a_cut_that_overflows_is_reported_once(self):
+        # Finite edges whose sum at a split exceeds the float range: the
+        # cut table reads [0, 1e308, inf, nan, 0].
+        model = FfnnModel(
+            [0.5] * 4, [0.5] * 4, src=[0, 1, 2], dst=[2, 2, 3], bits=[1e308, 1e308, 1.0]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = validate_model(model)
+        assert report.violations == (
+            "traffic crossing a split after layer 2 is inf, not finite",
+        )
+
     def test_cost_ranges_are_reported(self):
         model = make_model([1.5, 0.5], cpu_costs=[1.0, 2.0])
         report = validate_model(model)
@@ -299,29 +310,82 @@ class TestValidateModel:
 
 class TestDeviceChain:
     def test_link_count_must_match(self):
-        with pytest.raises(ValueError):
-            DeviceChain(devices=(Device(1, 1), Device(1, 1)), link_rate=())
+        with pytest.raises(ValueError, match="2 devices need 1 links, got 0"):
+            DeviceChain([1, 1], [1, 1], [])
 
     def test_rejects_zero_rate_link(self):
-        with pytest.raises(ValueError):
-            DeviceChain(devices=(Device(1, 1), Device(1, 1)), link_rate=(0.0,))
+        with pytest.raises(ValueError, match=r"link 1->2 rate must be > 0, got 0.0"):
+            DeviceChain([1, 1], [1, 1], [0.0])
 
     def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError, match="cpu_capacity must be finite and >= 0, got -1.0"):
+            DeviceChain([-1.0], [0.5], [])
+
+    def test_needs_a_device(self):
+        with pytest.raises(ValueError, match="at least one device"):
+            DeviceChain([], [], [])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("label", ["cpu", "mem"])
+    def test_rejects_a_bad_capacity(self, label, value):
+        capacities = {"cpu": [1.0, 1.0], "mem": [1.0, 1.0]}
+        capacities[label][1] = value
+        with pytest.raises(ValueError, match=f"{label}_capacity must be finite and >= 0"):
+            DeviceChain(capacities["cpu"], capacities["mem"], [1.0])
+
+    @pytest.mark.parametrize("rate", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_a_bad_link_rate(self, rate):
+        with pytest.raises(ValueError, match=r"link 2->3 rate must be > 0"):
+            DeviceChain([1, 1, 1], [1, 1, 1], [1.0, rate])
+
+    @pytest.mark.parametrize("cpu, mem", [([1, 1], [1]), ([1], [1, 1]), ([], [1])])
+    def test_rejects_capacity_arrays_of_different_lengths(self, cpu, mem):
+        with pytest.raises(ValueError, match="capacity arrays differ in length"):
+            DeviceChain(cpu, mem, [1.0] * (len(cpu) - 1))
+
+    @pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity", "link_rate"])
+    def test_arrays_are_read_only(self, field):
+        chain = DeviceChain([1, 2], [3, 4], [5])
+        array = getattr(chain, field)
+        assert array.dtype == np.float64
         with pytest.raises(ValueError):
-            Device(cpu_capacity=-1.0, mem_capacity=0.5)
+            array[0] = 0.5
+
+    def test_keeps_its_own_copies(self):
+        cpu = np.array([1.0, 2.0])
+        chain = DeviceChain(cpu, [3, 4], [5])
+        cpu[0] = 9.0
+        assert chain.cpu_capacity.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("field, index", [
+        ("cpu_capacity", 0), ("mem_capacity", 1), ("link_rate", 0)
+    ])
+    def test_equality_compares_the_arrays(self, field, index):
+        values = {"cpu_capacity": [1, 2], "mem_capacity": [3, 4], "link_rate": [5]}
+        chain = DeviceChain(**values)
+        assert chain == DeviceChain([1.0, 2.0], np.array([3.0, 4.0]), (5.0,))
+        values[field][index] += 0.5
+        assert chain != DeviceChain(**values)
+
+    @pytest.mark.parametrize("other", [None, 1.0, ([1.0], [1.0], [])])
+    def test_equality_with_other_types_is_not_implemented(self, other):
+        chain = DeviceChain([1.0], [1.0], [])
+        assert chain.__eq__(other) is NotImplemented
+        assert chain != other
 
     def test_single_device_chain_has_no_links(self):
-        chain = DeviceChain(devices=(Device(1, 1),), link_rate=())
+        chain = DeviceChain([1], [1], [])
         assert chain.num_devices == 1
+        assert chain.link_rate.shape == (0,)
 
     def test_zero_capacity_device_warns(self):
-        chain = DeviceChain(devices=(Device(0.0, 1), Device(1, 1)), link_rate=(1.0,))
+        chain = DeviceChain([0.0, 1], [1, 1], [1.0])
         report = validate_chain(chain)
         assert report.ok
         assert any("device 1" in w and "zero capacity" in w for w in report.warnings)
 
     def test_unnormalized_capacity_warns(self):
-        chain = DeviceChain(devices=(Device(1, 4.0), Device(1, 8.0)), link_rate=(1.0,))
+        chain = DeviceChain([1, 1], [4.0, 8.0], [1.0])
         report = validate_chain(chain)
         assert len(report.warnings) == 2
 
@@ -329,14 +393,10 @@ class TestDeviceChain:
 class TestMaxSplitCount:
     def test_limited_by_devices(self):
         model = make_model([0.5] * 6)
-        chain = DeviceChain(
-            devices=(Device(1, 1), Device(1, 1)), link_rate=(1.0,)
-        )
+        chain = DeviceChain([1, 1], [1, 1], [1.0])
         assert max_split_count(model, chain) == 2
 
     def test_limited_by_layers(self):
         model = make_model([0.5, 0.5])
-        chain = DeviceChain(
-            devices=(Device(1, 1), Device(1, 1), Device(1, 1)), link_rate=(1.0, 1.0)
-        )
+        chain = DeviceChain([1, 1, 1], [1, 1, 1], [1.0, 1.0])
         assert max_split_count(model, chain) == 2

@@ -154,10 +154,10 @@ class TestNormalize:
 
     def test_single_device_normalizes_itself_to_one(self):
         model, chain, factors = normalize(self.chain3(), [(750.0, 2000.0)], [])
-        assert chain.devices[0].cpu_capacity == 1.0
-        assert chain.devices[0].mem_capacity == 1.0
+        assert chain.cpu_capacity.tolist() == [1.0]
+        assert chain.mem_capacity.tolist() == [1.0]
         assert factors.bandwidth_factor == 1.0
-        assert chain.link_rate == ()
+        assert chain.link_rate.tolist() == []
 
     def test_capacities_and_rates_land_in_unit_range(self):
         _, chain, _ = normalize(
@@ -165,12 +165,10 @@ class TestNormalize:
             [(100.0, 400.0), (300.0, 800.0), (600.0, 1600.0)],
             [5.0e6, 1.0e7],
         )
-        for device in chain.devices:
-            assert 0.0 < device.cpu_capacity <= 1.0
-            assert 0.0 < device.mem_capacity <= 1.0
-        assert chain.link_rate == (0.5, 1.0)
-        assert max(d.cpu_capacity for d in chain.devices) == 1.0
-        assert max(d.mem_capacity for d in chain.devices) == 1.0
+        for capacities in (chain.cpu_capacity, chain.mem_capacity):
+            assert ((0.0 < capacities) & (capacities <= 1.0)).all()
+            assert capacities.max() == 1.0
+        assert chain.link_rate.tolist() == [0.5, 1.0]
 
     def test_derive_edges_carry_the_normalized_source_footprint(self):
         model, _, _ = normalize(self.chain3(), [(600.0, 1000.0)], [])
@@ -205,9 +203,11 @@ class TestNormalize:
             assert mem * factors.mem_factor == pytest.approx(
                 source.trainable_params, rel=1e-12
             )
-        for device, (cpu, mem) in zip(chain.devices, capacities):
-            assert device.cpu_capacity * factors.cpu_factor == pytest.approx(cpu, rel=1e-12)
-            assert device.mem_capacity * factors.mem_factor == pytest.approx(mem, rel=1e-12)
+        for cpu_capacity, mem_capacity, (cpu, mem) in zip(
+            chain.cpu_capacity, chain.mem_capacity, capacities
+        ):
+            assert cpu_capacity * factors.cpu_factor == pytest.approx(cpu, rel=1e-12)
+            assert mem_capacity * factors.mem_factor == pytest.approx(mem, rel=1e-12)
         for rate, source in zip(chain.link_rate, rates):
             assert rate * factors.bandwidth_factor == pytest.approx(source, rel=1e-12)
 

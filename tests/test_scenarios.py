@@ -192,19 +192,17 @@ class TestGenerateDeviceChain:
         model = generate_random_model(8, 0.5, iteration_rng(2, 0))
         chain = generate_device_chain(2, model)
         mem_total = float(np.sum(model.mem))
-        assert chain.devices[0].mem_capacity == pytest.approx(mem_total / 2)
-        assert chain.devices[1].mem_capacity == pytest.approx(mem_total)
-        assert chain.devices[0].cpu_capacity == pytest.approx(8 / 2)
-        assert chain.devices[1].cpu_capacity == pytest.approx(8)
+        assert chain.mem_capacity.tolist() == pytest.approx([mem_total / 2, mem_total])
+        assert chain.cpu_capacity.tolist() == pytest.approx([8 / 2, 8])
 
     def test_three_devices_scale_as_third_half_whole(self):
         model = generate_random_model(6, 0.0, iteration_rng(2, 1))
         chain = generate_device_chain(3, model)
         mem_total = float(np.sum(model.mem))
         fractions = [1 / 3, 1 / 2, 1.0]
-        for device, fraction in zip(chain.devices, fractions):
-            assert device.mem_capacity == pytest.approx(mem_total * fraction)
-            assert device.cpu_capacity == pytest.approx(6 * fraction)
+        for cpu, mem, fraction in zip(chain.cpu_capacity, chain.mem_capacity, fractions):
+            assert mem == pytest.approx(mem_total * fraction)
+            assert cpu == pytest.approx(6 * fraction)
 
     @pytest.mark.parametrize("num_devices", [2, 3, 4, 6])
     def test_every_link_shares_one_rate(self, num_devices):
@@ -217,7 +215,7 @@ class TestGenerateDeviceChain:
         for index in range(10):
             model = generate_random_model(12, 0.5, iteration_rng(6, index))
             chain = generate_device_chain(4, model)
-            assert chain.devices[-1].mem_capacity == pytest.approx(
+            assert chain.mem_capacity[-1] == pytest.approx(
                 float(np.sum(model.mem))
             )
 
@@ -229,9 +227,39 @@ class TestGenerateDeviceChain:
             chain = generate_device_chain(num_devices, model)
             cpu_total = float(np.sum(model.cpu))
             mem_total = float(np.sum(model.mem))
-            for t, device in enumerate(chain.devices, start=1):
-                assert device.cpu_capacity == cpu_total / (num_devices - t + 1)
-                assert device.mem_capacity == mem_total / (num_devices - t + 1)
+            capacities = zip(chain.cpu_capacity.tolist(), chain.mem_capacity.tolist())
+            for t, (cpu, mem) in enumerate(capacities, start=1):
+                assert cpu == cpu_total / (num_devices - t + 1)
+                assert mem == mem_total / (num_devices - t + 1)
+
+
+    def test_the_sweep_stacks_this_ladder_bit_for_bit(self, monkeypatch):
+        # The sweep never builds a chain; its stacked capacities and link
+        # rates must still be the ladder of each drawn model.
+        stacks = []
+        solve_stack = heuristic.solve_stack
+
+        def recording(*arrays):
+            stacks.append(arrays)
+            return solve_stack(*arrays)
+
+        monkeypatch.setattr(heuristic, "solve_stack", recording)
+        cells = tuple(
+            ScenarioConfig(num_layers=13, num_devices=d, skip_prob=0.3, iterations=40, seed=5)
+            for d in (2, 3, 5)
+        )
+        scenarios._run_iteration_range(cells, 3, 40)
+        assert len(stacks) == len(cells)
+        for config, (_, _, _, capacities, link_rate) in zip(cells, stacks):
+            chains = [
+                generate_device_chain(
+                    config.num_devices, generate_random_model(13, 0.3, iteration_rng(5, index))
+                )
+                for index in range(3, 40)
+            ]
+            for got, expected in zip((capacities, link_rate), exact._chain_arrays(chains)):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestFootprintStats:
